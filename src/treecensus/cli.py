@@ -18,11 +18,12 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .asymptotics import limit_probability, tightness_report
+from .asymptotics import LemmaInapplicableError, limit_probability, tightness_report
 from .errata import ERRATA, published_row
 from .families import (
     DomainError,
     FamilyId,
+    SolverError,
     StatKind,
     census_coefficient,
     census_series,
@@ -35,6 +36,7 @@ from .families import (
 )
 from .oracle import BudgetError, DEFAULT_BUDGETS, aggregate_census, verify_family
 from .quadratic import QuadraticNumber
+from .ratfunc import FitError
 from .render import (
     DEFAULT_PRECISION,
     decimal_places,
@@ -46,6 +48,7 @@ from .render import (
     to_json,
     to_markdown,
 )
+from .series import SeriesError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -68,6 +71,12 @@ def _parse_range(text: str) -> "list[int]":
     if not values:
         raise ValueError(f"empty range {text!r}")
     return values
+
+
+# Members compare equal to their values (str enums), so plain value lists
+# serve as choices and print as {motzkin,...} in --help.
+_FAMILY_CHOICES = [family.value for family in FamilyId]
+_STAT_CHOICES = [stat.value for stat in StatKind]
 
 
 def _family(value: str) -> FamilyId:
@@ -231,9 +240,11 @@ def _cmd_verify(args) -> int:
     families = [args.family] if args.family else list(FamilyId)
     reports = []
     all_passed = True
+    if args.n_max is not None:
+        for family in families:
+            _check_n_max(family, args.n_max)
     for family in families:
         n_max = args.n_max if args.n_max is not None else DEFAULT_BUDGETS[family]
-        n_max = min(n_max, DEFAULT_BUDGETS[family])
         report = verify_family(family, n_max)
         reports.append(report)
         all_passed &= report.passed
@@ -282,10 +293,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_MISMATCH
 
 
+def _check_n_max(family: FamilyId, n_max: int) -> None:
+    """Refuse a vacuous or over-budget request instead of clamping it."""
+    budget = DEFAULT_BUDGETS[family]
+    if not 1 <= n_max <= budget:
+        raise BudgetError(f"--n-max {n_max} is outside 1..{budget} for {family.value}")
+
+
 def _golden_rows(families, n_max_flag):
     for family in families:
         n_max = n_max_flag if n_max_flag is not None else DEFAULT_BUDGETS[family]
-        n_max = min(n_max, DEFAULT_BUDGETS[family])
         for stat in StatKind:
             for n in range(1, n_max + 1):
                 table = aggregate_census(family, n, stat)
@@ -405,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--precision", type=int, default=DEFAULT_PRECISION, metavar="DIGITS")
 
     p_table = sub.add_parser("table", help="limit-probability table for one family/statistic")
-    p_table.add_argument("--family", type=_family, required=True, choices=list(FamilyId))
-    p_table.add_argument("--stat", type=_stat, required=True, choices=list(StatKind))
+    p_table.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
+    p_table.add_argument("--stat", type=_stat, required=True, choices=_STAT_CHOICES)
     p_table.add_argument("--k", required=True, help="k value or range, e.g. 1..7")
     p_table.add_argument(
         "--paper-precision",
@@ -417,17 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_coeffs = sub.add_parser("coeffs", help="exact series coefficients")
-    p_coeffs.add_argument("--family", type=_family, required=True, choices=list(FamilyId))
+    p_coeffs.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
     p_coeffs.add_argument("--series", choices=("counting", "multiplier", "census"), required=True)
-    p_coeffs.add_argument("--stat", type=_stat, default=None, choices=list(StatKind))
+    p_coeffs.add_argument("--stat", type=_stat, default=None, choices=_STAT_CHOICES)
     p_coeffs.add_argument("--k", type=int, default=None)
     p_coeffs.add_argument("--n", required=True, help="index or range, e.g. 0..10")
     add_common(p_coeffs, precision=False)
     p_coeffs.set_defaults(func=_cmd_coeffs)
 
     p_prob = sub.add_parser("prob", help="finite-size or limiting probabilities")
-    p_prob.add_argument("--family", type=_family, required=True, choices=list(FamilyId))
-    p_prob.add_argument("--stat", type=_stat, required=True, choices=list(StatKind))
+    p_prob.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
+    p_prob.add_argument("--stat", type=_stat, required=True, choices=_STAT_CHOICES)
     p_prob.add_argument("--k", required=True, help="k value or range")
     p_prob.add_argument("--n", type=int, default=None, help="tree size for a finite probability")
     p_prob.add_argument("--check", action="store_true", help="attach convergence diagnostics (json)")
@@ -435,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.set_defaults(func=_cmd_prob)
 
     p_verify = sub.add_parser("verify", help="cross-check series against exhaustive enumeration")
-    p_verify.add_argument("--family", type=_family, default=None, choices=list(FamilyId))
+    p_verify.add_argument("--family", type=_family, default=None, choices=_FAMILY_CHOICES)
     p_verify.add_argument("--n-max", type=int, default=None, dest="n_max")
     p_verify.add_argument("--golden", metavar="PATH", default=None, help="compare against a stored census csv")
     p_verify.add_argument("--write-golden", metavar="PATH", default=None, help="write the census csv")
@@ -447,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_errata.set_defaults(func=_cmd_errata)
 
     p_tight = sub.add_parser("tightness", help="partial sums of limit probabilities")
-    p_tight.add_argument("--family", type=_family, required=True, choices=list(FamilyId))
-    p_tight.add_argument("--stat", type=_stat, required=True, choices=list(StatKind))
+    p_tight.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
+    p_tight.add_argument("--stat", type=_stat, required=True, choices=_STAT_CHOICES)
     p_tight.add_argument("--k-max", type=int, required=True, dest="k_max")
     add_common(p_tight)
     p_tight.set_defaults(func=_cmd_tightness)
@@ -461,7 +478,15 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, BudgetError, ValueError) as err:
+    except (
+        DomainError,
+        BudgetError,
+        ValueError,
+        SeriesError,
+        SolverError,
+        LemmaInapplicableError,
+        FitError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

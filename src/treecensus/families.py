@@ -13,6 +13,13 @@ marked subtree in all possible ways.  The decomposition never inspects
 which statistic is being counted, so one multiplier per family serves
 both.
 
+Every root-statistic GF is a closed form: a monomial when the statistic
+is the size unit, and otherwise built from Catalan (Motzkin leaves),
+Narayana (ordered leaves) or Kirkman-Cayley (Schroeder vertices)
+numbers.  The bivariate refinement is not on that path; the tests fit
+rational functions to its coefficients as an independent derivation of
+the closed forms.
+
 All series work is exact over Q.  Heavy intermediates are cached at
 bucketed truncation orders and sliced down, so repeated queries at
 nearby orders share one computation.  Everything here is pure; caches
@@ -25,10 +32,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .bivariate import BivariateSeries, _ypoly_mul
 from .quadratic import QuadraticNumber
-from .ratfunc import FIT_MARGIN, FitError, RationalFunction, fit_rational
+from .ratfunc import RationalFunction, one_minus_x_power
 from .series import PowerSeries
 
 _ZERO = Fraction(0)
@@ -347,9 +355,20 @@ def root_stat_gf(family: FamilyId, stat: StatKind, k: int) -> RationalFunction:
 
     When the statistic coincides with the family's size unit the GF is
     the monomial count(k) * x**k.  Full binary trees with k vertices
-    force k = 2j-1 odd with j leaves.  The remaining cases extract the
-    coefficient of y**k from the bivariate series and reconstruct the
-    closed form with an exact rational fit.
+    force k = 2j-1 odd with j leaves.  The other three pairs have
+    classical closed forms:
+
+    - Motzkin trees with k leaves: Cat(k-1) * x**(2k-1) / (1-x)**(2k-1)
+      (the binary skeleton is one of Cat(k-1) full binary trees with
+      2k-1 vertices; unary chains are inserted above each of them);
+    - ordered trees with k leaves: sum_n N(n-1, k) * x**n, with the
+      Narayana numbers N(m, k) = C(m, k) * C(m, k-1) / m and N(0, 1) = 1,
+      equal to x**(k+1) * sum_j N(k-1, j) * x**(j-1) / (1-x)**(2k-1);
+    - Schroeder trees with k vertices: the polynomial
+      sum_j C(j-2, i-1) * C(j+i-1, i-1) / i * x**j over j leaves and
+      i = k-j internal vertices (Kirkman-Cayley numbers).
+
+    ``bivariate_series`` with ``fit_rational`` rederives these in the tests.
     """
     if k < 1:
         raise DomainError("statistic value k must be at least 1")
@@ -362,18 +381,32 @@ def root_stat_gf(family: FamilyId, stat: StatKind, k: int) -> RationalFunction:
         j = (k + 1) // 2
         return RationalFunction.monomial(counting_coefficient(family, j), j)
     if family is FamilyId.SCHROEDER:
-        degrees = (k, 0)
+        return RationalFunction(_kirkman_cayley(k))
+    m = 2 * k - 1
+    if family is FamilyId.MOTZKIN:
+        numerator = [0] * m + [comb(2 * k - 2, k - 1) // k]
+    elif k == 1:
+        numerator = [0, 1]
     else:
-        degrees = (2 * k - 1, 2 * k - 1)
-    last_error: "FitError | None" = None
-    for num_deg, den_deg in (degrees, (2 * degrees[0] + 2, 2 * degrees[1] + 2)):
-        need = num_deg + den_deg + FIT_MARGIN
-        column = bivariate_series(family, _bucket_x(need), max(k, 1)).coeff_y(k)
-        try:
-            return fit_rational(column, num_deg, den_deg)
-        except FitError as err:
-            last_error = err
-    raise last_error
+        # sum_n N(n-1, k) x^n times (1-x)^m: Narayana numbers again
+        numerator = [0] * (k + 1) + [_narayana(k - 1, j) for j in range(1, k)]
+    return RationalFunction(numerator, one_minus_x_power(m))
+
+
+def _narayana(m: int, k: int) -> int:
+    """N(m, k): ordered trees with m edges and k leaves."""
+    return comb(m, k) * comb(m, k - 1) // m
+
+
+def _kirkman_cayley(k: int) -> "list[int]":
+    """Schroeder trees with k vertices, by their number j of leaves."""
+    if k == 1:
+        return [0, 1]
+    out = [0] * k
+    for j in range((k + 2) // 2, k):
+        i = k - j
+        out[j] = comb(j - 2, i - 1) * comb(j + i - 1, i - 1) // i
+    return out
 
 
 # -- census series ----------------------------------------------------------------
@@ -441,19 +474,15 @@ def total_vertices(family: FamilyId, n: int) -> int:
 def total_leaves(family: FamilyId, n: int) -> int:
     """Total number of leaves over all trees of size n.
 
-    Leaf-counted families contribute n leaves per tree; vertex-counted
-    families read the y-derivative of the bivariate series at y = 1.
+    Leaf-counted families contribute n leaves per tree.  In the
+    vertex-counted families a leaf is exactly a vertex whose subtree has
+    one vertex, so the total is that census coefficient.
     """
     if n < 1:
         raise DomainError(f"no {family.value} trees of size {n}")
-    desc = descriptor(family)
-    if desc.size_unit is StatKind.LEAVES:
+    if descriptor(family).size_unit is StatKind.LEAVES:
         return n * counting_coefficient(family, n)
-    max_leaves = max_stat_value(family, StatKind.LEAVES, n)
-    value = bivariate_series(family, n, max_leaves).dy_at_y_one().coefficient(n)
-    if value.denominator != 1:
-        raise SolverError(f"non-integer leaf total {value}")
-    return value.numerator
+    return census_coefficient(family, StatKind.VERTICES, 1, n)
 
 
 def finite_probability(family: FamilyId, stat: StatKind, k: int, n: int) -> Fraction:

@@ -201,6 +201,8 @@ def verify_family(family: FamilyId, n_max: "int | None" = None) -> VerificationR
         raise BudgetError(
             f"n_max {n_max} exceeds the {family.value} budget of {DEFAULT_BUDGETS[family]}"
         )
+    if n_max < 1:
+        raise BudgetError(f"n_max {n_max} leaves nothing to verify; it must be at least 1")
     checks = 0
     mismatches: "list[Mismatch]" = []
 

@@ -10,6 +10,8 @@ extraction to closed forms that can be evaluated at a singularity.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 from typing import Sequence, Union
 
 from .quadratic import QuadraticNumber
@@ -104,6 +106,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return poly_scale(a, _ONE / a[-1])
 
 
+def one_minus_x_power(m: int) -> Poly:
+    """(1-x)**m, from the binomial theorem."""
+    return tuple(Fraction((-1) ** i * comb(m, i)) for i in range(m + 1))
+
+
 def poly_eval(p: Poly, point):
     """Horner evaluation; the point may be a Fraction or QuadraticNumber."""
     acc = point * 0
@@ -155,6 +162,14 @@ class RationalFunction:
             raise ZeroDivisionError("denominator polynomial is zero")
         if not num:
             den = (_ONE,)
+        elif _binomial_power_match(den, poly_degree(den)) is not None:
+            # (1-x) is the only irreducible factor, so cancel it while
+            # num(1) == 0; the quotient by (1-x) has prefix-sum coefficients
+            m = poly_degree(den)
+            while m and sum(num) == 0:
+                num = poly_trim(list(accumulate(num))[:-1])
+                m -= 1
+            den = one_minus_x_power(m)
         else:
             g = poly_gcd(num, den)
             if poly_degree(g) > 0:
@@ -213,12 +228,17 @@ class RationalFunction:
         """Exact value at a point of a quadratic field (or a rational)."""
         if not isinstance(point, QuadraticNumber):
             point = QuadraticNumber(Fraction(point))
-        den_value = poly_eval(self.denominator, point)
+        # a rational point is evaluated in Q, far cheaper than in the field
+        x = point.rational_part if point.is_rational else point
+        den_value = poly_eval(self.denominator, x)
         if not den_value:
             raise PoleError(f"pole at {point}")
         if self.is_zero():
             return QuadraticNumber(0, 0, point.radicand)
-        return poly_eval(self.numerator, point) / den_value
+        value = poly_eval(self.numerator, x) / den_value
+        if isinstance(value, QuadraticNumber):
+            return value
+        return QuadraticNumber(value, 0, point.radicand)
 
     def __str__(self):
         num, den = self.numerator, self.denominator
@@ -247,10 +267,13 @@ def _denominator_text(den: Poly) -> str:
 
 
 def _binomial_power_match(den: Poly, m: int) -> "int | None":
-    expected = [_ONE]
-    for _ in range(m):
-        expected = list(poly_mul(tuple(expected), (_ONE, Fraction(-1))))
-    return m if tuple(expected) == den else None
+    """m if ``den`` is exactly (1-x)**m, else None."""
+    if len(den) != m + 1:
+        return None
+    for i, c in enumerate(den):
+        if c != (-1) ** i * comb(m, i):
+            return None
+    return m
 
 
 # -- rational reconstruction -----------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from treecensus import FitError, LemmaInapplicableError, SeriesError, SolverError, cli
 from treecensus.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -222,3 +223,56 @@ def test_header_flag(capsys):
         capsys, "coeffs", "--family", "motzkin", "--series", "counting", "--n", "1..3",
     )
     assert not without.startswith("#")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n-max", "0"),
+        ("verify", "--family", "schroeder", "--n-max", "-1"),
+        ("verify", "--family", "motzkin", "--n-max", "15"),
+        # within the Motzkin budget of 14, above the ordered budget of 12
+        ("verify", "--n-max", "13"),
+        ("verify", "--family", "fullbinary", "--n-max", "99", "--write-golden", "unused.csv"),
+    ],
+)
+def test_verify_out_of_bounds_n_max_exit_code(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --n-max ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        SeriesError("series failure"),
+        SolverError("solver failure"),
+        LemmaInapplicableError("lemma failure"),
+        FitError("fit failure"),
+    ],
+    ids=lambda err: type(err).__name__,
+)
+def test_package_errors_exit_2_without_traceback(error, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "limit_probability", fail)
+    code = main(["prob", "--family", "motzkin", "--stat", "vertices", "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {error}\n"
+
+
+def test_help_lists_choice_values(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["table", "--help"])
+    out = capsys.readouterr().out
+    assert err.value.code == 0
+    assert "{motzkin,ordered,fullbinary,schroeder}" in out
+    assert "{vertices,leaves}" in out
+    assert "FamilyId" not in out and "StatKind" not in out

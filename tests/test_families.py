@@ -1,6 +1,7 @@
 """Counting series, functional equations, multipliers and censuses."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,12 +10,15 @@ from treecensus import (
     FamilyId,
     PowerSeries,
     StatKind,
+    bivariate_series,
     census_coefficient,
     census_series,
     census_table_from_series,
     counting_coefficient,
     counting_series,
+    families,
     finite_probability,
+    fit_rational,
     fixed_point_solve,
     max_stat_value,
     multiplier_gf,
@@ -22,6 +26,7 @@ from treecensus import (
     total_leaves,
     total_vertices,
 )
+from treecensus.ratfunc import FIT_MARGIN
 
 COUNTS = {
     FamilyId.MOTZKIN: [1, 1, 2, 4, 9, 21, 51],
@@ -210,3 +215,67 @@ def test_statistic_equivalence_full_binary():
             census_series(FamilyId.FULL_BINARY, StatKind.LEAVES, k, 30)
         )
         assert census_series(FamilyId.FULL_BINARY, StatKind.VERTICES, 2 * k, 30).is_zero()
+
+
+# -- closed-form root GFs against the bivariate series and the Pade fit -----------
+
+_CLOSED_FORM_PAIRS = [
+    (FamilyId.MOTZKIN, StatKind.LEAVES),
+    (FamilyId.ORDERED, StatKind.LEAVES),
+    (FamilyId.SCHROEDER, StatKind.VERTICES),
+]
+
+
+def _fitted_root_gf(family, stat, k):
+    """[y^k] of the bivariate series, reconstructed by an exact Pade fit."""
+    degrees = (k, 0) if family is FamilyId.SCHROEDER else (2 * k - 1, 2 * k - 1)
+    column = bivariate_series(family, sum(degrees) + FIT_MARGIN, k).coeff_y(k)
+    return fit_rational(column, *degrees)
+
+
+@pytest.mark.parametrize("family,stat", _CLOSED_FORM_PAIRS)
+def test_root_stat_gf_closed_forms_match_fit(family, stat):
+    for k in range(1, 13):
+        closed = root_stat_gf(family, stat, k)
+        fitted = _fitted_root_gf(family, stat, k)
+        assert closed == fitted, (family, stat, k)
+        assert str(closed) == str(fitted)
+
+
+@pytest.mark.parametrize("family", [FamilyId.MOTZKIN, FamilyId.ORDERED])
+def test_total_leaves_matches_bivariate_derivative(family):
+    top = 40
+    ny = max_stat_value(family, StatKind.LEAVES, top)
+    weighted = bivariate_series(family, top, ny).dy_at_y_one()
+    for n in range(1, top + 1):
+        assert total_leaves(family, n) == weighted.coefficient(n), n
+
+
+def test_root_gf_and_leaf_totals_bypass_the_fit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bivariate_series reached from the root-GF path")
+
+    monkeypatch.setattr(families, "bivariate_series", refuse)
+    assert not hasattr(families, "fit_rational")
+    root_stat_gf.cache_clear()
+    families._root_expansion.cache_clear()
+    for family in FamilyId:
+        for stat in StatKind:
+            for k in range(1, 41):
+                root_stat_gf(family, stat, k)
+        for n in range(1, 65):
+            total_leaves(family, n)
+
+
+def test_ordered_leaf_root_gf_expands_to_narayana_numbers():
+    # beyond the fitted range: [x^n] is N(n-1, k), with N(0, 1) = 1
+    def narayana(m, k):
+        if m == 0:
+            return int(k == 1)
+        return comb(m, k) * comb(m, k - 1) // m
+
+    for k in range(1, 41):
+        series = root_stat_gf(FamilyId.ORDERED, StatKind.LEAVES, k).expand(3 * k)
+        assert [series.coefficient(n) for n in range(1, 3 * k + 1)] == [
+            narayana(n - 1, k) for n in range(1, 3 * k + 1)
+        ], k

@@ -139,6 +139,13 @@ def test_verify_family_rejects_overbudget():
         verify_family(FamilyId.ORDERED, 40)
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_verify_family_rejects_vacuous_request(n_max):
+    # a report with zero checks must not read as a pass
+    with pytest.raises(BudgetError, match="at least 1"):
+        verify_family(FamilyId.MOTZKIN, n_max)
+
+
 def test_full_binary_even_vertex_rows_are_empty():
     # no subtree of a full binary tree has an even vertex count
     table = aggregate_census(FamilyId.FULL_BINARY, 6, StatKind.VERTICES)

@@ -16,7 +16,17 @@ from treecensus import (
     bivariate_series,
     fit_rational,
 )
-from treecensus.ratfunc import poly_text
+from treecensus.ratfunc import (
+    _binomial_power_match,
+    one_minus_x_power,
+    poly_divmod,
+    poly_eval,
+    poly_from,
+    poly_gcd,
+    poly_mul,
+    poly_scale,
+    poly_text,
+)
 
 
 def test_fit_geometric():
@@ -114,3 +124,49 @@ def test_text_rendering():
         str(RationalFunction((0, 0, 0, 0, 5, 9, 1)))
         == "5*x^4 + 9*x^5 + x^6"
     )
+
+
+def _reduced_by_gcd(num, den):
+    """Lowest terms through a Euclid gcd over Q, denominator(0) scaled to 1."""
+    num, den = poly_from(num), poly_from(den)
+    g = poly_gcd(num, den)
+    num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    scale = Fraction(1) / den[0]
+    return tuple(c * scale for c in num), tuple(c * scale for c in den)
+
+
+def test_one_minus_x_power_reduction_matches_gcd():
+    rng = random.Random(23)
+    for m in range(0, 7):
+        den = one_minus_x_power(m)
+        for order in range(0, m + 3):
+            # numerators vanishing at x = 1 to every order, up to past m
+            for _ in range(4):
+                body = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+                if not any(body):
+                    body[0] = Fraction(1)
+                num = poly_mul(poly_from(body), one_minus_x_power(order))
+                r = RationalFunction(num, den)
+                assert (r.numerator, r.denominator) == _reduced_by_gcd(num, den), (num, m)
+
+
+def test_binomial_power_match():
+    for m in range(1, 8):
+        assert _binomial_power_match(one_minus_x_power(m), m) == m
+        assert _binomial_power_match(poly_scale(one_minus_x_power(m), Fraction(2)), m) is None
+        assert _binomial_power_match(one_minus_x_power(m), m + 1) is None
+    assert _binomial_power_match(poly_from([1, 2, 1]), 2) is None  # (1+x)^2
+    assert _binomial_power_match(poly_from([1, 0, -1]), 2) is None  # 1-x^2
+
+
+def test_eval_at_rational_point_matches_field_arithmetic():
+    rng = random.Random(5)
+    for _ in range(20):
+        num = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))]
+        den = [Fraction(1)] + [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+        r = RationalFunction(num, den)
+        point = QuadraticNumber(Fraction(rng.randint(-5, 5), rng.randint(6, 12)), 0, 3)
+        in_field = poly_eval(r.numerator, point) / poly_eval(r.denominator, point)
+        value = r.eval(point)
+        assert value == in_field
+        assert value.radicand == in_field.radicand == 3
