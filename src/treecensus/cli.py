@@ -79,12 +79,23 @@ _FAMILY_CHOICES = [family.value for family in FamilyId]
 _STAT_CHOICES = [stat.value for stat in StatKind]
 
 
+def _member(kind, value: str):
+    # argparse names the converter in its own message, so reject here
+    try:
+        return kind(value)
+    except ValueError:
+        choices = ",".join(member.value for member in kind)
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {{{choices}}})"
+        ) from None
+
+
 def _family(value: str) -> FamilyId:
-    return FamilyId(value)
+    return _member(FamilyId, value)
 
 
 def _stat(value: str) -> StatKind:
-    return StatKind(value)
+    return _member(StatKind, value)
 
 
 def _emit(text: str, out_path: "str | None", header: bool) -> None:

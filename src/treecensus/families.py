@@ -33,6 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul as _times
 
 from .bivariate import BivariateSeries, _ypoly_mul
 from .quadratic import QuadraticNumber
@@ -184,7 +185,7 @@ def counting_series(family: FamilyId, order: int) -> PowerSeries:
 
 
 def counting_coefficient(family: FamilyId, n: int) -> int:
-    c = counting_series(family, max(n, 1)).coefficient(n)
+    c = _counting_bucketed(family, _series_bucket(max(n, 1))).coefficient(n)
     if c.denominator != 1:
         raise SolverError(f"non-integer count {c} for {family} at {n}")
     return c.numerator
@@ -208,24 +209,41 @@ def _phi(family: FamilyId, s: PowerSeries, order: int) -> PowerSeries:
 
 @lru_cache(maxsize=None)
 def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
-    """Solve the family's functional equation by fixed-point iteration.
+    """Solve the family's functional equation s = Phi(s) online.
 
-    Sweep m of the iteration pins the coefficient of x**m, so at most
-    order+1 sweeps are needed; a final full application must reproduce
-    the iterate exactly, otherwise the equation was mis-encoded and
+    Coefficient m of Phi(s) depends only on s_1..s_(m-1), so step m
+    pins s_m from the lower coefficients.  Running integer arrays for
+    s**2 and 1/(1-s) keep each step linear, and the whole solve is
+    O(order**2) integer work.  A final full application of Phi in
+    series arithmetic, independent of the step rule, must reproduce
+    the result exactly, otherwise the equation was mis-encoded and
     ``SolverError`` is raised.  Returns the unique solution with zero
     constant term.
     """
     if order < 1:
         raise DomainError("order must be at least 1")
-    s = PowerSeries.zero(0)
-    for sweep in range(1, order + 1):
-        s = _phi(family, s.extended(sweep), sweep)
-    if _phi(family, s, order) != s:
+    s = [0]
+    square = [0]  # s**2
+    inverse = [1]  # 1/(1-s) = 1 + s * (1/(1-s))
+    for m in range(1, order + 1):
+        square.append(sum(map(_times, s[1:m], s[m - 1 : 0 : -1])))
+        x_term = 1 if m == 1 else 0
+        if family is FamilyId.MOTZKIN:  # s = x*(1 + s + s**2)
+            sm = x_term + s[m - 1] + square[m - 1]
+        elif family is FamilyId.ORDERED:  # s = x/(1-s)
+            sm = inverse[m - 1]
+        elif family is FamilyId.FULL_BINARY:  # s = x + s**2
+            sm = x_term + square[m]
+        else:  # s = x + s**2/(1-s)
+            sm = x_term + sum(map(_times, square[2 : m + 1], inverse[m - 2 :: -1]))
+        s.append(sm)
+        inverse.append(sum(map(_times, s[1 : m + 1], inverse[::-1])))
+    result = PowerSeries(s)
+    if _phi(family, result, order) != result:
         raise SolverError(f"fixed point for {family} did not stabilise at order {order}")
-    if s.coefficient(0) != 0:
+    if result.coefficient(0) != 0:
         raise SolverError(f"fixed point for {family} has nonzero constant term")
-    return s
+    return result
 
 
 # -- bivariate refinement ----------------------------------------------------------
@@ -240,9 +258,8 @@ def _yp_shift(poly: "list[Fraction]", ny: int) -> "list[Fraction]":
 def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> BivariateSeries:
     """x-adic fixed-point solution of the bivariate functional equation.
 
-    Each sweep finalises one more power of x, reusing the stabilised
-    lower slices, which is the same iteration as ``fixed_point_solve``
-    with the redundant re-computation of settled slices skipped.
+    Each step finalises one more power of x from the lower slices, the
+    online scheme ``fixed_point_solve`` uses for the counting series.
     """
     ny = order_y
     y = [_ZERO, _ONE][: ny + 1]
@@ -423,28 +440,33 @@ def census_series(family: FamilyId, stat: StatKind, k: int, order: int) -> Power
     return root.expand(order).mul(multiplier_gf(family, order), order)
 
 
+def _integers(values: "tuple[Fraction, ...]", what: str) -> "tuple[int, ...]":
+    for value in values:
+        if value.denominator != 1:
+            raise SolverError(f"non-integer {what} coefficient {value}")
+    return tuple(value.numerator for value in values)
+
+
 @lru_cache(maxsize=None)
-def _root_expansion(family: FamilyId, stat: StatKind, k: int, order: int) -> "tuple[Fraction, ...]":
-    return root_stat_gf(family, stat, k).expand(order).coefficients
+def _root_expansion(family: FamilyId, stat: StatKind, k: int, order: int) -> "tuple[int, ...]":
+    return _integers(root_stat_gf(family, stat, k).expand(order).coefficients, "root expansion")
+
+
+@lru_cache(maxsize=None)
+def _multiplier_integers(family: FamilyId, order: int) -> "tuple[int, ...]":
+    return _integers(_multiplier_bucketed(family, order).coefficients, "multiplier")
 
 
 def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
-    """Single census coefficient, via one convolution against the multiplier."""
+    """Single census coefficient, via one integer convolution against the multiplier."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     if k < 1:
         raise DomainError("statistic value k must be at least 1")
     bucket = _series_bucket(max(n, 1))
     root = _root_expansion(family, stat, k, bucket)
-    mult = _multiplier_bucketed(family, bucket).coefficients
-    total = _ZERO
-    for j in range(n + 1):
-        rj = root[j]
-        if rj:
-            total += rj * mult[n - j]
-    if total.denominator != 1:
-        raise SolverError(f"non-integer census value {total}")
-    return total.numerator
+    mult = _multiplier_integers(family, bucket)
+    return sum(map(_times, root[: n + 1], mult[n::-1]))
 
 
 # -- totals and probabilities -------------------------------------------------------

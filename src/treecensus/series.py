@@ -5,11 +5,18 @@ N is the truncation order.  All operations are exact, pure, and return
 new objects, so series are safe to cache and to share between threads.
 Binary operations truncate at the smaller of the two input orders
 unless an explicit ``order`` is requested.
+
+``mul``, ``div`` and ``sqrt`` scale each input to integer numerators
+over its least common denominator, run their recurrence on ``int``s and
+build each output ``Fraction`` once; ``Fraction`` arithmetic stays at
+the boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul as _times
 from typing import Iterable, Sequence, Union
 
 Coefficient = Union[int, Fraction]
@@ -103,7 +110,7 @@ class PowerSeries:
         return PowerSeries(self.coefficients[: order + 1])
 
     def extended(self, order: int) -> "PowerSeries":
-        """Pad with zero coefficients up to ``order`` (used by fixed-point sweeps)."""
+        """Pad with zero coefficients up to ``order``."""
         if order <= self.truncation_order:
             return self.truncate(order)
         return PowerSeries(self.coefficients + (_ZERO,) * (order - self.truncation_order))
@@ -161,17 +168,12 @@ class PowerSeries:
     def mul(self, other: "PowerSeries", order: "int | None" = None) -> "PowerSeries":
         """Cauchy product truncated at ``order`` (default: min of inputs)."""
         n = self._common_order(other, order)
-        a, b = self.coefficients, other.coefficients
-        out = [_ZERO] * (n + 1)
-        for i in range(min(len(a) - 1, n) + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(min(len(b) - 1, n - i) + 1):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return PowerSeries(out)
+        a, da = _numerators(self.coefficients[: n + 1])
+        b, db = _numerators(other.coefficients[: n + 1])
+        d = da * db
+        return PowerSeries(
+            Fraction(sum(map(_times, a[: k + 1], b[k::-1])), d) for k in range(n + 1)
+        )
 
     __mul__ = mul
 
@@ -199,16 +201,29 @@ class PowerSeries:
             den = PowerSeries(other.coefficients[v:])
             return num.div(den, order)
         n = self._common_order(other, order)
-        a, b = self.coefficients, other.coefficients
-        b0 = b[0]
-        out = [_ZERO] * (n + 1)
+        a, da = _numerators(self.coefficients[: n + 1])
+        b, db = _numerators(other.coefficients[: n + 1])
+        content = gcd(*b)
+        b0 = b[0] // content
+        # Divide b by its content, so that b0 is its smallest possible
+        # constant term.  With Q_k = q_k * b0**(k+1) the recurrence
+        # b0*q_k = a_k - sum_i b_i q_(k-i) becomes
+        #   Q_k = a_k * b0**k - sum_(i>=1) b_i * b0**(i-1) * Q_(k-i),
+        # which stays in the integers; trailing zeros of b cost nothing.
+        last = max(i for i, c in enumerate(b) if c)
+        weights = []
+        power = 1
+        for bi in b[1 : last + 1]:
+            weights.append(bi // content * power)
+            power *= b0
+        quotients = []
+        out = []
+        power = 1
         for k in range(n + 1):
-            acc = a[k] if k < len(a) else _ZERO
-            for i in range(1, min(k, len(b) - 1) + 1):
-                bi = b[i]
-                if bi:
-                    acc -= bi * out[k - i]
-            out[k] = acc / b0
+            qk = a[k] * power - sum(map(_times, weights[:k], reversed(quotients)))
+            quotients.append(qk)
+            power *= b0
+            out.append(Fraction(qk * db, power * da * content))
         return PowerSeries(out)
 
     __truediv__ = div
@@ -222,16 +237,30 @@ class PowerSeries:
         n = self.truncation_order if order is None else order
         if order is not None and order > self.truncation_order:
             raise TruncationError(f"order {order} exceeds truncation {self.truncation_order}")
-        a = self.coefficients
-        if a[0] != 1:
-            raise ConstantTermError(f"sqrt needs constant term 1, got {a[0]}")
-        out = [_ZERO] * (n + 1)
-        out[0] = _ONE
+        if self.coefficients[0] != 1:
+            raise ConstantTermError(f"sqrt needs constant term 1, got {self.coefficients[0]}")
+        a, d = _numerators(self.coefficients[: n + 1])
+        # With R_k = r_k * (4d)**k the recurrence 2 r_k = a_k - sum_(0<i<k) r_i r_(k-i)
+        # becomes R_k = (4d)**k/(2d) * a_k - (sum_(0<i<k) R_i R_(k-i)) / 2.  Every
+        # R_k with k >= 1 is even, so the halved middle square R_(k/2)**2 / 2 is
+        # exact and the symmetric sum is taken once.
+        scale = 4 * d
+        roots = [1]
+        out = [_ONE]
+        lead = 2
+        power = scale
         for k in range(1, n + 1):
-            acc = a[k]
-            for i in range(1, k):
-                si = out[i]
-                if si:
-                    acc -= si * out[k - i]
-            out[k] = acc / 2
+            rk = lead * a[k] - sum(map(_times, roots[1 : (k + 1) // 2], reversed(roots)))
+            if k % 2 == 0:
+                rk -= roots[k // 2] ** 2 >> 1
+            roots.append(rk)
+            out.append(Fraction(rk, power))
+            lead *= scale
+            power *= scale
         return PowerSeries(out)
+
+
+def _numerators(coefficients: "Sequence[Fraction]") -> "tuple[list[int], int]":
+    """Integer numerators over the least common denominator, and that denominator."""
+    d = lcm(*(c.denominator for c in coefficients))
+    return [c.numerator * (d // c.denominator) for c in coefficients], d

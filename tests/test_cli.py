@@ -276,3 +276,29 @@ def test_help_lists_choice_values(capsys):
     assert "{motzkin,ordered,fullbinary,schroeder}" in out
     assert "{vertices,leaves}" in out
     assert "FamilyId" not in out and "StatKind" not in out
+
+
+FAMILIES = "{motzkin,ordered,fullbinary,schroeder}"
+STATS = "{vertices,leaves}"
+
+
+@pytest.mark.parametrize(
+    "argv, bad, choices",
+    [
+        (("table", "--family", "motzkinx", "--stat", "leaves", "--k", "1"), "motzkinx", FAMILIES),
+        (("prob", "--family", "motzkin", "--stat", "leaf", "--k", "1"), "leaf", STATS),
+        (("coeffs", "--family", "Motzkin", "--series", "counting", "--n", "1"), "Motzkin", FAMILIES),
+        (("verify", "--family", "binary"), "binary", FAMILIES),
+        (("tightness", "--family", "ordered", "--stat", "vertex", "--k-max", "3"), "vertex", STATS),
+    ],
+)
+def test_bad_choice_lists_valid_values(argv, bad, choices, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].endswith(f"invalid choice: {bad!r} (choose from {choices})")
+    assert "_family" not in captured.err and "_stat" not in captured.err

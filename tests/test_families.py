@@ -9,6 +9,8 @@ from treecensus import (
     DomainError,
     FamilyId,
     PowerSeries,
+    RationalFunction,
+    SolverError,
     StatKind,
     bivariate_series,
     census_coefficient,
@@ -63,6 +65,37 @@ def test_fixed_point_examples():
     assert list(motzkin.coefficients) == [0, 1, 1, 2]
     for family in FamilyId:
         assert fixed_point_solve(family, 5).coefficient(0) == 0
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_fixed_point_raises_when_phi_disagrees_with_online_rule(family, monkeypatch):
+    real_phi = families._phi
+
+    def perturbed(fam, s, order):
+        return real_phi(fam, s, order) + PowerSeries.monomial(1, order, order)
+
+    monkeypatch.setattr(families, "_phi", perturbed)
+    fixed_point_solve.cache_clear()
+    with pytest.raises(SolverError, match="did not stabilise"):
+        fixed_point_solve(family, 9)
+
+
+def test_census_coefficient_rejects_non_integral_root_expansion(monkeypatch):
+    monkeypatch.setattr(
+        families, "root_stat_gf", lambda family, stat, k: RationalFunction([0, Fraction(1, 2)])
+    )
+    families._root_expansion.cache_clear()
+    with pytest.raises(SolverError, match="root expansion"):
+        census_coefficient(FamilyId.MOTZKIN, StatKind.VERTICES, 1, 3)
+
+
+def test_census_coefficient_rejects_non_integral_multiplier(monkeypatch):
+    monkeypatch.setattr(
+        families, "_multiplier_bucketed", lambda family, order: PowerSeries.one(order).scale(Fraction(1, 2))
+    )
+    families._multiplier_integers.cache_clear()
+    with pytest.raises(SolverError, match="multiplier"):
+        census_coefficient(FamilyId.MOTZKIN, StatKind.VERTICES, 1, 3)
 
 
 def test_multiplier_values():

@@ -12,6 +12,8 @@ from treecensus import (
     ValuationError,
 )
 
+from reference_series import ref_div, ref_mul, ref_sqrt
+
 
 def series(*coeffs):
     return PowerSeries([Fraction(c) for c in coeffs])
@@ -124,3 +126,82 @@ def test_shift_and_scale():
     a = series(1, 1)
     assert a.shift(2) == series(0, 0, 1, 1)
     assert a.scale(Fraction(1, 2)) == series(Fraction(1, 2), Fraction(1, 2))
+
+
+# -- integer kernels against the schoolbook Fraction reference --------------------
+
+LEADS = [1, -1, 2, 3, Fraction(1, 2), Fraction(-5, 3)]
+
+
+def rational_series(rng, order, constant=None, valuation=0):
+    """Random series with denominators 1..7, about a quarter of its terms zero."""
+    coeffs = [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.75 else Fraction(0)
+        for _ in range(order + 1)
+    ]
+    coeffs[:valuation] = [Fraction(0)] * min(valuation, order + 1)
+    if constant is not None and valuation <= order:
+        coeffs[valuation] = Fraction(constant)
+    return PowerSeries(coeffs)
+
+
+def maybe_order(rng, available):
+    return None if rng.random() < 0.5 else rng.randint(0, available)
+
+
+def test_integer_mul_matches_reference():
+    rng = random.Random(11)
+    for _ in range(200):
+        a = rational_series(rng, rng.randint(0, 24))
+        b = rational_series(rng, rng.randint(0, 24))
+        order = maybe_order(rng, min(a.truncation_order, b.truncation_order))
+        assert a.mul(b, order) == ref_mul(a, b, order)
+
+
+def test_integer_div_matches_reference():
+    rng = random.Random(12)
+    for _ in range(300):
+        v = rng.choice([0, 0, 1, 2])
+        b = rational_series(rng, rng.randint(v, 24), constant=rng.choice(LEADS), valuation=v)
+        if rng.random() < 0.3:  # a short divisor, padded with zeros
+            b = PowerSeries.from_polynomial(b.coefficients[: v + 2], b.truncation_order)
+        a = rational_series(rng, rng.randint(v, 24), valuation=v + rng.choice([0, 0, 1]))
+        available = min(a.truncation_order, b.truncation_order) - v
+        order = maybe_order(rng, available)
+        assert a.div(b, order) == ref_div(a, b, order)
+
+
+def test_integer_sqrt_matches_reference():
+    rng = random.Random(13)
+    for _ in range(200):
+        a = rational_series(rng, rng.randint(0, 24), constant=1)
+        order = maybe_order(rng, a.truncation_order)
+        assert a.sqrt(order) == ref_sqrt(a, order)
+
+
+KERNELS = {"mul": (PowerSeries.mul, ref_mul), "div": (PowerSeries.div, ref_div),
+           "sqrt": (PowerSeries.sqrt, ref_sqrt)}
+
+
+@pytest.mark.parametrize(
+    "op, args, error",
+    [
+        ("mul", (series(1, 1), series(1, 1), 5), TruncationError),
+        ("div", (series(1, 1), series(1, 1), 5), TruncationError),
+        ("div", (series(0, 1, 1), series(0, 1, 1), 2), TruncationError),
+        ("div", (series(1, 1), PowerSeries.zero(3)), ConstantTermError),
+        ("div", (series(0, 1, 0), series(0, 0, 1)), ValuationError),
+        ("div", (series(Fraction(1, 3), 1), series(0, Fraction(2, 5))), ValuationError),
+        ("sqrt", (series(1, 1), 3), TruncationError),
+        ("sqrt", (series(2, 1),), ConstantTermError),
+        ("sqrt", (series(0, 1),), ConstantTermError),
+        ("sqrt", (series(-1, 1),), ConstantTermError),
+        ("sqrt", (series(Fraction(1, 2), 1),), ConstantTermError),
+    ],
+)
+def test_error_classes_match_reference(op, args, error):
+    kernel, reference = KERNELS[op]
+    with pytest.raises(error):
+        kernel(*args)
+    with pytest.raises(error):
+        reference(*args)
