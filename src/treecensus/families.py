@@ -1,9 +1,10 @@
 """The four planar tree families and their generating functions.
 
-Each family carries a counting series (closed form and functional
-equation), a bivariate refinement tracking vertices and leaves at once,
-and a "multiplier" transfer series.  The census series for a subtree
-statistic factors as
+Each family carries a counting series and a "multiplier" transfer
+series, both given by integer P-recurrences (the series are algebraic,
+hence D-finite), a functional equation for the counting series, and a
+bivariate refinement tracking vertices and leaves at once.  The census
+series for a subtree statistic factors as
 
     census = (root-statistic GF) * multiplier,
 
@@ -13,14 +14,17 @@ marked subtree in all possible ways.  The decomposition never inspects
 which statistic is being counted, so one multiplier per family serves
 both.
 
-Every root-statistic GF is a closed form: a monomial when the statistic
-is the size unit, and otherwise built from Catalan (Motzkin leaves),
-Narayana (ordered leaves) or Kirkman-Cayley (Schroeder vertices)
-numbers.  The bivariate refinement is not on that path; the tests fit
-rational functions to its coefficients as an independent derivation of
-the closed forms.
+Every root-statistic GF is a closed form P(x)/(1-x)**m with integer P:
+a monomial when the statistic is the size unit, and otherwise built
+from Catalan (Motzkin leaves), Narayana (ordered leaves) or
+Kirkman-Cayley (Schroeder vertices) numbers.  Census coefficients are
+integer convolutions of its expansion (m running sums of P) with the
+multiplier.  The bivariate refinement is not on that path; the tests
+fit rational functions to its coefficients as an independent
+derivation of the closed forms.
 
-All series work is exact over Q.  Heavy intermediates are cached at
+All arithmetic is exact: integers inside, ``Fraction`` and
+``PowerSeries`` only at the API boundary.  Sequences are cached at
 bucketed truncation orders and sliced down, so repeated queries at
 nearby orders share one computation.  Everything here is pure; caches
 only memoise deterministic values.
@@ -32,16 +36,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import add as _plus
 from operator import mul as _times
+from typing import Sequence
 
-from .bivariate import BivariateSeries, _ypoly_mul
+from .bivariate import BivariateSeries
 from .quadratic import QuadraticNumber
 from .ratfunc import RationalFunction, one_minus_x_power
 from .series import PowerSeries
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DomainError(ValueError):
@@ -64,6 +68,27 @@ class StatKind(str, Enum):
     LEAVES = "leaves"
 
 
+class Recurrence:
+    """An integer sequence given by a P-recurrence.
+
+    p_0(n)*a_n = p_1(n)*a_(n-1) + ... + p_r(n)*a_(n-r) for every
+    n >= len(initial).  ``initial`` holds a_0, a_1, ...; ``polynomials``
+    holds p_0..p_r, each as integer coefficients in ascending powers
+    of n.  (A plain class: a frozen dataclass would add about 1 ms to
+    every cold start.)
+    """
+
+    __slots__ = ("initial", "polynomials")
+
+    def __init__(self, initial: "tuple[int, ...]", polynomials: "tuple[tuple[int, ...], ...]"):
+        self.initial = initial
+        self.polynomials = polynomials
+
+
+# n*t_n = 2(2n-3)*t_(n-1): the Catalan numbers shifted by one
+_SHIFTED_CATALAN = Recurrence((0, 1), ((0, 1), (-6, 4)))
+
+
 @dataclass(frozen=True)
 class FamilyDescriptor:
     """Constants attached to one tree family.
@@ -73,7 +98,9 @@ class FamilyDescriptor:
     refinement (always the other one).  ``singularity`` is the radius
     of convergence of the family's square-root factor and
     ``normalization`` the exact constant K with
-    limit probability = (root GF at singularity) * K.
+    limit probability = (root GF at singularity) * K.  ``counting``
+    and ``multiplier`` give the coefficients of the counting series
+    and of the multiplier.
     """
 
     id: FamilyId
@@ -83,6 +110,8 @@ class FamilyDescriptor:
     singularity: QuadraticNumber
     normalization: QuadraticNumber
     arity_rule: str
+    counting: Recurrence
+    multiplier: Recurrence
 
     @property
     def bivariate_y(self) -> StatKind:
@@ -98,6 +127,10 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
         singularity=QuadraticNumber(Fraction(1, 3)),
         normalization=QuadraticNumber(1),
         arity_rule="internal vertices have 1 or 2 children",
+        # (n+1)*t_n = (2n-1)*t_(n-1) + 3(n-2)*t_(n-2)
+        counting=Recurrence((0, 1), ((1, 1), (-1, 2), (-6, 3))),
+        # n*m_n = (2n-1)*m_(n-1) + 3(n-1)*m_(n-2): central trinomial coefficients
+        multiplier=Recurrence((1, 1), ((0, 1), (-1, 2), (-3, 3))),
     ),
     FamilyId.ORDERED: FamilyDescriptor(
         id=FamilyId.ORDERED,
@@ -107,6 +140,9 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
         singularity=QuadraticNumber(Fraction(1, 4)),
         normalization=QuadraticNumber(2),
         arity_rule="no arity restriction",
+        counting=_SHIFTED_CATALAN,
+        # n*m_n = 2(2n-1)*m_(n-1) for n >= 2: half the central binomials
+        multiplier=Recurrence((1, 1), ((0, 1), (-2, 4))),
     ),
     FamilyId.FULL_BINARY: FamilyDescriptor(
         id=FamilyId.FULL_BINARY,
@@ -116,6 +152,9 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
         singularity=QuadraticNumber(Fraction(1, 4)),
         normalization=QuadraticNumber(2),
         arity_rule="internal vertices have exactly 2 children",
+        counting=_SHIFTED_CATALAN,
+        # n*m_n = 2(2n-1)*m_(n-1): central binomials, m_n = (n+1)*t_(n+1)
+        multiplier=Recurrence((1,), ((0, 1), (-2, 4))),
     ),
     # The leaf fraction of a size-n tree lies in (1/2, 1], which pins the
     # normalization: mean vertices per leaf tend to 1 + sqrt(2)/2, hence
@@ -129,6 +168,10 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
         singularity=QuadraticNumber(3, -2, 2),
         normalization=QuadraticNumber(2, 1, 2),
         arity_rule="internal vertices have at least 2 children",
+        # n*t_n = 3(2n-3)*t_(n-1) - (n-3)*t_(n-2)
+        counting=Recurrence((0, 1, 1), ((0, 1), (-9, 6), (3, -1))),
+        # n(n-1)*m_n = 3(n-1)(2n-1)*m_(n-1) - n(n-2)*m_(n-2): m_n = (n+1)*t_(n+1)
+        multiplier=Recurrence((1, 2), ((0, -1, 1), (3, -9, 6), (0, 2, -1))),
     ),
 }
 
@@ -156,39 +199,58 @@ def _bucket_y(order: int) -> int:
     return 24 if order <= 24 else 8 * ((order + 7) // 8)
 
 
-# -- counting series -----------------------------------------------------------
+# -- counting and multiplier coefficients ------------------------------------------
+
+
+def _product(a: "Sequence[int]", b: "Sequence[int]", size: int) -> "list[int]":
+    """The first ``size`` coefficients of the product of two integer polynomials."""
+    out = [0] * size
+    for j, c in enumerate(a[:size]):
+        if c:
+            tail = b[: size - j]
+            out[j : j + len(tail)] = map(_plus, out[j : j + len(tail)], [c * d for d in tail])
+    return out
+
+
+def _at(poly: "tuple[int, ...]", n: int) -> int:
+    value = 0
+    for c in reversed(poly):
+        value = value * n + c
+    return value
+
+
+def _run(rule: Recurrence, order: int, what: str) -> "tuple[int, ...]":
+    """Terms 0..order of a P-recurrence; every step must divide exactly."""
+    terms = list(rule.initial[: order + 1])
+    lead, *rest = rule.polynomials
+    for n in range(len(terms), order + 1):
+        acc = sum(_at(p, n) * terms[n - i] for i, p in enumerate(rest, 1))
+        value, remainder = divmod(acc, _at(lead, n))
+        if remainder:
+            raise SolverError(f"non-integer {what} coefficient {acc}/{_at(lead, n)} at n = {n}")
+        terms.append(value)
+    return tuple(terms)
 
 
 @lru_cache(maxsize=None)
-def _counting_bucketed(family: FamilyId, order: int) -> PowerSeries:
-    if family is FamilyId.MOTZKIN:
-        radicand = PowerSeries.from_polynomial([1, -2, -3], order + 1)
-        numerator = (
-            PowerSeries.one(order + 1)
-            - PowerSeries.monomial(1, 1, order + 1)
-            - radicand.sqrt()
-        )
-        return numerator.div(PowerSeries.monomial(2, 1, order + 1))
-    if family in (FamilyId.ORDERED, FamilyId.FULL_BINARY):
-        root = PowerSeries.from_polynomial([1, -4], order).sqrt()
-        return (PowerSeries.one(order) - root).scale(Fraction(1, 2))
-    root = PowerSeries.from_polynomial([1, -6, 1], order).sqrt()
-    denominator = PowerSeries.from_polynomial([1, 1], order) + root
-    return PowerSeries.monomial(2, 1, order).div(denominator)
+def _counting_integers(family: FamilyId, order: int) -> "tuple[int, ...]":
+    return _run(descriptor(family).counting, order, "count")
+
+
+@lru_cache(maxsize=None)
+def _multiplier_integers(family: FamilyId, order: int) -> "tuple[int, ...]":
+    return _run(descriptor(family).multiplier, order, "multiplier")
 
 
 def counting_series(family: FamilyId, order: int) -> PowerSeries:
-    """Truncated counting generating function, from the closed form."""
+    """Truncated counting generating function, from its P-recurrence."""
     if order < 1:
         raise DomainError("order must be at least 1")
-    return _counting_bucketed(family, _series_bucket(order)).truncate(order)
+    return PowerSeries(_counting_integers(family, _series_bucket(order))[: order + 1])
 
 
 def counting_coefficient(family: FamilyId, n: int) -> int:
-    c = _counting_bucketed(family, _series_bucket(max(n, 1))).coefficient(n)
-    if c.denominator != 1:
-        raise SolverError(f"non-integer count {c} for {family} at {n}")
-    return c.numerator
+    return _counting_integers(family, _series_bucket(max(n, 1)))[n]
 
 
 # -- functional equations --------------------------------------------------------
@@ -249,9 +311,9 @@ def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
 # -- bivariate refinement ----------------------------------------------------------
 
 
-def _yp_shift(poly: "list[Fraction]", ny: int) -> "list[Fraction]":
+def _yp_shift(poly: "list[int]", ny: int) -> "list[int]":
     """Multiply a y-polynomial by y, truncating at ny."""
-    return ([_ZERO] + poly)[: ny + 1]
+    return ([0] + poly)[: ny + 1]
 
 
 @lru_cache(maxsize=None)
@@ -260,23 +322,23 @@ def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> Bivaria
 
     Each step finalises one more power of x from the lower slices, the
     online scheme ``fixed_point_solve`` uses for the counting series.
+    The y-polynomials are integer lists; ``BivariateSeries`` converts
+    them to ``Fraction`` once.
     """
     ny = order_y
-    y = [_ZERO, _ONE][: ny + 1]
+    y = [0, 1][: ny + 1]
 
     def prod(a, b):
-        return _ypoly_mul(a, b, ny)
+        return _product(a, b, min(len(a) + len(b) - 1, ny + 1))
 
     def padd(a, b):
-        n = max(len(a), len(b))
-        return [
-            (a[i] if i < len(a) else _ZERO) + (b[i] if i < len(b) else _ZERO)
-            for i in range(n)
-        ]
+        if len(a) < len(b):
+            a, b = b, a
+        return list(map(_plus, a, b)) + a[len(b) :]
 
     if family is FamilyId.MOTZKIN:
         # M = x*y + x*M + x*M^2
-        m: "list[list[Fraction]]" = [[]]
+        m: "list[list[int]]" = [[]]
         for n in range(1, order_x + 1):
             acc = list(y) if n == 1 else []
             acc = padd(acc, m[n - 1])
@@ -287,8 +349,8 @@ def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> Bivaria
 
     if family is FamilyId.ORDERED:
         # T = x*y + x*W with W = T/(1-T) = T + T*W
-        t: "list[list[Fraction]]" = [[]]
-        w: "list[list[Fraction]]" = [[]]
+        t: "list[list[int]]" = [[]]
+        w: "list[list[int]]" = [[]]
         for n in range(1, order_x + 1):
             tn = padd(list(y) if n == 1 else [], w[n - 1])
             t.append(tn)
@@ -300,9 +362,9 @@ def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> Bivaria
 
     if family is FamilyId.FULL_BINARY:
         # B = x*y + y*B^2  (x counts leaves, y counts vertices)
-        b: "list[list[Fraction]]" = [[]]
+        b: "list[list[int]]" = [[]]
         for n in range(1, order_x + 1):
-            acc: "list[Fraction]" = []
+            acc: "list[int]" = []
             for a in range(1, n):
                 acc = padd(acc, prod(b[a], b[n - a]))
             acc = _yp_shift(acc, ny)
@@ -312,10 +374,10 @@ def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> Bivaria
         return BivariateSeries(b, order_x, order_y)
 
     # Schroeder: R = x*y + y*W with W = R^2 + R*W (x leaves, y vertices)
-    r: "list[list[Fraction]]" = [[]]
-    w: "list[list[Fraction]]" = [[]]
+    r: "list[list[int]]" = [[]]
+    w: "list[list[int]]" = [[]]
     for n in range(1, order_x + 1):
-        wn: "list[Fraction]" = []
+        wn: "list[int]" = []
         for a in range(1, n):
             wn = padd(wn, prod(r[a], r[n - a]))
         for a in range(1, n - 1):
@@ -341,26 +403,15 @@ def bivariate_series(family: FamilyId, order_x: int, order_y: int) -> BivariateS
 # -- multiplier ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _multiplier_bucketed(family: FamilyId, order: int) -> PowerSeries:
-    one = PowerSeries.one(order)
-    if family is FamilyId.MOTZKIN:
-        return one.div(PowerSeries.from_polynomial([1, -2, -3], order).sqrt())
-    if family is FamilyId.ORDERED:
-        inv_root = one.div(PowerSeries.from_polynomial([1, -4], order).sqrt())
-        return (one + inv_root).scale(Fraction(1, 2))
-    if family is FamilyId.FULL_BINARY:
-        return one.div(PowerSeries.from_polynomial([1, -4], order).sqrt())
-    root = PowerSeries.from_polynomial([1, -6, 1], order).sqrt()
-    numerator = PowerSeries.from_polynomial([3, -1], order) + root
-    return numerator.div(root.scale(4))
-
-
 def multiplier_gf(family: FamilyId, order: int) -> PowerSeries:
-    """Transfer factor: census GF = root-statistic GF * multiplier."""
+    """Transfer factor: census GF = root-statistic GF * multiplier.
+
+    For the leaf-counted families the multiplier is the derivative of
+    the counting series.
+    """
     if order < 0:
         raise DomainError("order must be nonnegative")
-    return _multiplier_bucketed(family, _series_bucket(order)).truncate(order)
+    return PowerSeries(_multiplier_integers(family, _series_bucket(order))[: order + 1])
 
 
 # -- root-statistic generating functions ----------------------------------------
@@ -429,32 +480,42 @@ def _kirkman_cayley(k: int) -> "list[int]":
 # -- census series ----------------------------------------------------------------
 
 
+def _root_parts(family: FamilyId, stat: StatKind, k: int) -> "tuple[list[int], int]":
+    """Integer numerator P and exponent m with root GF = P / (1-x)**m."""
+    root = root_stat_gf(family, stat, k)
+    m = root.one_minus_x_exponent()
+    if m is None:
+        raise SolverError(f"root expansion of {root} needs a power of (1-x) as denominator")
+    numerator = []
+    for value in root.numerator:
+        if value.denominator != 1:
+            raise SolverError(f"non-integer root expansion coefficient {value}")
+        numerator.append(value.numerator)
+    return numerator, m
+
+
+def _running_sums(values: "list[int]", m: int) -> "list[int]":
+    """Coefficients of the series times 1/(1-x)**m."""
+    for _ in range(m):
+        values = list(accumulate(values))
+    return values
+
+
 def census_series(family: FamilyId, stat: StatKind, k: int, order: int) -> PowerSeries:
     """Coefficient of x**n counts vertices over all size-n trees whose
     subtree statistic equals k."""
     if order < 1:
         raise DomainError("order must be at least 1")
-    root = root_stat_gf(family, stat, k)
-    if root.is_zero():
-        return PowerSeries.zero(order)
-    return root.expand(order).mul(multiplier_gf(family, order), order)
-
-
-def _integers(values: "tuple[Fraction, ...]", what: str) -> "tuple[int, ...]":
-    for value in values:
-        if value.denominator != 1:
-            raise SolverError(f"non-integer {what} coefficient {value}")
-    return tuple(value.numerator for value in values)
+    numerator, m = _root_parts(family, stat, k)
+    mult = _multiplier_integers(family, _series_bucket(order))
+    return PowerSeries(_running_sums(_product(numerator, mult, order + 1), m))
 
 
 @lru_cache(maxsize=None)
 def _root_expansion(family: FamilyId, stat: StatKind, k: int, order: int) -> "tuple[int, ...]":
-    return _integers(root_stat_gf(family, stat, k).expand(order).coefficients, "root expansion")
-
-
-@lru_cache(maxsize=None)
-def _multiplier_integers(family: FamilyId, order: int) -> "tuple[int, ...]":
-    return _integers(_multiplier_bucketed(family, order).coefficients, "multiplier")
+    numerator, m = _root_parts(family, stat, k)
+    head = numerator[: order + 1]
+    return tuple(_running_sums(head + [0] * (order + 1 - len(head)), m))
 
 
 def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
@@ -472,14 +533,12 @@ def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
 # -- totals and probabilities -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _vertex_total_bucketed(family: FamilyId, order: int) -> PowerSeries:
-    counting = _counting_bucketed(family, order)
-    return counting.mul(_multiplier_bucketed(family, order), order)
-
-
 def total_vertices(family: FamilyId, n: int) -> int:
-    """Total number of vertices over all trees of size n."""
+    """Total number of vertices over all trees of size n.
+
+    The censuses over all k sum to the counting series times the
+    multiplier, so the general total is [x^n] of that product.
+    """
     if n < 1:
         raise DomainError(f"no {family.value} trees of size {n}")
     desc = descriptor(family)
@@ -487,10 +546,9 @@ def total_vertices(family: FamilyId, n: int) -> int:
         return n * counting_coefficient(family, n)
     if family is FamilyId.FULL_BINARY:
         return (2 * n - 1) * counting_coefficient(family, n)
-    value = _vertex_total_bucketed(family, _series_bucket(n)).coefficient(n)
-    if value.denominator != 1:
-        raise SolverError(f"non-integer vertex total {value}")
-    return value.numerator
+    bucket = _series_bucket(n)
+    counts = _counting_integers(family, bucket)
+    return sum(map(_times, counts[: n + 1], _multiplier_integers(family, bucket)[n::-1]))
 
 
 def total_leaves(family: FamilyId, n: int) -> int:

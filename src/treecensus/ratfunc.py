@@ -201,6 +201,10 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.denominator == (_ONE,)
 
+    def one_minus_x_exponent(self) -> "int | None":
+        """m when the denominator is (1-x)**m (0 for a polynomial), else None."""
+        return _binomial_power_match(self.denominator, poly_degree(self.denominator))
+
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented

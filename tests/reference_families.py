@@ -1,0 +1,58 @@
+"""Closed-form counting series, multipliers and vertex totals.
+
+The package computes the counting and multiplier coefficients from
+integer P-recurrences.  These functions derive the same series from the
+algebraic closed forms with ``PowerSeries`` sqrt and div, as the
+tests' reference.  Each radicand's square root is taken once per order
+and shared by the counting series and the multiplier.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from treecensus import FamilyId, PowerSeries
+
+RADICANDS = {
+    FamilyId.MOTZKIN: (1, -2, -3),
+    FamilyId.ORDERED: (1, -4),
+    FamilyId.FULL_BINARY: (1, -4),
+    FamilyId.SCHROEDER: (1, -6, 1),
+}
+
+
+@lru_cache(maxsize=None)
+def _root(radicand: "tuple[int, ...]", order: int) -> PowerSeries:
+    return PowerSeries.from_polynomial(radicand, order).sqrt()
+
+
+def ref_counting(family: FamilyId, order: int) -> PowerSeries:
+    root = _root(RADICANDS[family], order + 1)
+    if family is FamilyId.MOTZKIN:
+        # (1 - x - sqrt(1-2x-3x^2)) / (2x)
+        numerator = PowerSeries.one(order + 1) - PowerSeries.monomial(1, 1, order + 1) - root
+        return numerator.div(PowerSeries.monomial(2, 1, order + 1))
+    root = root.truncate(order)
+    if family in (FamilyId.ORDERED, FamilyId.FULL_BINARY):
+        # (1 - sqrt(1-4x)) / 2
+        return (PowerSeries.one(order) - root).scale(Fraction(1, 2))
+    # 2x / (1 + x + sqrt(1-6x+x^2))
+    denominator = PowerSeries.from_polynomial([1, 1], order) + root
+    return PowerSeries.monomial(2, 1, order).div(denominator)
+
+
+def ref_multiplier(family: FamilyId, order: int) -> PowerSeries:
+    root = _root(RADICANDS[family], order + 1).truncate(order)
+    one = PowerSeries.one(order)
+    if family is FamilyId.SCHROEDER:
+        # (3 - x + sqrt(1-6x+x^2)) / (4 sqrt(1-6x+x^2))
+        numerator = PowerSeries.from_polynomial([3, -1], order) + root
+        return numerator.div(root.scale(4))
+    inv_root = one.div(root)
+    if family is FamilyId.ORDERED:
+        return (one + inv_root).scale(Fraction(1, 2))
+    return inv_root
+
+
+def ref_vertex_totals(family: FamilyId, order: int) -> PowerSeries:
+    """Counting series times multiplier: [x^n] is the vertex total at size n."""
+    return ref_counting(family, order).mul(ref_multiplier(family, order), order)

@@ -7,6 +7,7 @@ import pytest
 from treecensus import (
     BivariateSeries,
     FamilyId,
+    StatKind,
     TruncationError,
     bivariate_series,
     counting_series,
@@ -55,6 +56,14 @@ def test_marginals_match_counting_series():
         ny = max_stat_value(family, descriptor(family).bivariate_y, 12)
         bv = bivariate_series(family, 12, ny)
         assert bv.at_y_one() == counting_series(family, 12)
+
+
+def test_marginals_keep_the_top_y_degree_of_a_bucket():
+    # the y truncation equals a bucket size, so the slices' top degree counts
+    for family, n in ((FamilyId.MOTZKIN, 48), (FamilyId.ORDERED, 25)):
+        ny = max_stat_value(family, StatKind.LEAVES, n)
+        assert ny == 24
+        assert bivariate_series(family, n, ny).at_y_one() == counting_series(family, n)
 
 
 def test_coeff_y_range_error():

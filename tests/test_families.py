@@ -1,9 +1,11 @@
 """Counting series, functional equations, multipliers and censuses."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
+from reference_families import ref_counting, ref_multiplier, ref_vertex_totals
 
 from treecensus import (
     DomainError,
@@ -28,6 +30,7 @@ from treecensus import (
     total_leaves,
     total_vertices,
 )
+from treecensus.families import Recurrence
 from treecensus.ratfunc import FIT_MARGIN
 
 COUNTS = {
@@ -90,9 +93,10 @@ def test_census_coefficient_rejects_non_integral_root_expansion(monkeypatch):
 
 
 def test_census_coefficient_rejects_non_integral_multiplier(monkeypatch):
-    monkeypatch.setattr(
-        families, "_multiplier_bucketed", lambda family, order: PowerSeries.one(order).scale(Fraction(1, 2))
-    )
+    # 2*m_n = m_(n-1) leaves a remainder at n = 1
+    motzkin = families.FAMILIES[FamilyId.MOTZKIN]
+    halving = Recurrence((1,), ((2,), (1,)))
+    monkeypatch.setitem(families.FAMILIES, FamilyId.MOTZKIN, replace(motzkin, multiplier=halving))
     families._multiplier_integers.cache_clear()
     with pytest.raises(SolverError, match="multiplier"):
         census_coefficient(FamilyId.MOTZKIN, StatKind.VERTICES, 1, 3)
@@ -312,3 +316,61 @@ def test_ordered_leaf_root_gf_expands_to_narayana_numbers():
         assert [series.coefficient(n) for n in range(1, 3 * k + 1)] == [
             narayana(n - 1, k) for n in range(1, 3 * k + 1)
         ], k
+
+
+# -- P-recurrences against the sqrt/div closed forms -------------------------------
+
+PIN_ORDER = 640
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_recurrences_match_closed_forms(family):
+    assert counting_series(family, PIN_ORDER) == ref_counting(family, PIN_ORDER)
+    assert multiplier_gf(family, PIN_ORDER) == ref_multiplier(family, PIN_ORDER)
+
+
+def test_schroeder_vertex_totals_match_closed_form():
+    reference = ref_vertex_totals(FamilyId.SCHROEDER, PIN_ORDER)
+    for n in range(1, PIN_ORDER + 1):
+        assert total_vertices(FamilyId.SCHROEDER, n) == reference.coefficient(n), n
+
+
+@pytest.mark.parametrize("family", [FamilyId.FULL_BINARY, FamilyId.SCHROEDER])
+def test_leaf_counted_multiplier_is_counting_derivative(family):
+    counts = counting_series(family, PIN_ORDER + 1)
+    mult = multiplier_gf(family, PIN_ORDER)
+    for n in range(PIN_ORDER + 1):
+        assert mult.coefficient(n) == (n + 1) * counts.coefficient(n + 1), n
+
+
+def test_recurrence_initial_terms_cover_short_orders():
+    schroeder = families.FAMILIES[FamilyId.SCHROEDER].counting
+    assert families._run(schroeder, 1, "count") == (0, 1)
+    assert families._run(schroeder, 4, "count") == (0, 1, 1, 3, 11)
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+@pytest.mark.parametrize("stat", list(StatKind))
+def test_census_series_equals_root_expansion_times_multiplier(family, stat):
+    order = 300
+    mult = multiplier_gf(family, order)
+    for k in range(1, 7):
+        expected = root_stat_gf(family, stat, k).expand(order).mul(mult, order)
+        assert census_series(family, stat, k, order) == expected, k
+
+
+def test_families_never_take_a_square_root(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("PowerSeries.sqrt reached from families")
+
+    monkeypatch.setattr(PowerSeries, "sqrt", refuse)
+    families._counting_integers.cache_clear()
+    families._multiplier_integers.cache_clear()
+    families._root_expansion.cache_clear()
+    for family in FamilyId:
+        counting_series(family, PIN_ORDER)
+        multiplier_gf(family, PIN_ORDER)
+        total_vertices(family, PIN_ORDER)
+        for stat in StatKind:
+            census_series(family, stat, 2, 100)
+            finite_probability(family, stat, 2, PIN_ORDER)
