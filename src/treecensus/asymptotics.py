@@ -104,7 +104,6 @@ class AsymptoticProbability:
     stat: StatKind
     k: int
     exact_value: QuadraticNumber
-    decimal: float
     method: str  # "closed-form" | "extrapolated"
     diagnostics: "ConvergenceRecord | None" = None
 
@@ -143,7 +142,6 @@ def limit_probability(
         stat=stat,
         k=k,
         exact_value=exact,
-        decimal=float(exact),
         method="closed-form",
         diagnostics=diagnostics,
     )

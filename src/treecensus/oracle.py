@@ -2,16 +2,22 @@
 
 This is the ground truth the series engine is checked against: every
 tree of a family up to a size budget is generated explicitly (as nested
-tuples of children, leaf = empty tuple), each tree is walked once, and
-the resulting counts must match the generating-function coefficients
-exactly.  Nothing here touches the series machinery except inside
+tuples of children, leaf = empty tuple), and the resulting counts must
+match the generating-function coefficients exactly.  A tree's children
+are the very objects listed for the smaller sizes, so the trees up to
+the budget form one shared DAG: the census of size n lists every tree
+of size at most n and reads its child edges, carrying down how many
+times each distinct subtree occurs instead of walking every vertex of
+every tree (``census_tree`` keeps the per-vertex walk as the
+reference).  The enumeration cache holds one family at a time.
+Nothing here touches the series machinery except inside
 ``verify_family``, which performs the comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .families import (
     CensusTable,
@@ -60,10 +66,39 @@ def enumerate_trees(family: FamilyId, n: int, ceiling: "int | None" = None) -> "
     return _trees(family, n)
 
 
-@lru_cache(maxsize=None)
+# The enumeration of the family last asked for, keyed (function name, size).
+# Switching families drops it, so a verify of every family holds the
+# largest family's trees rather than all four.
+_held_family: "FamilyId | None" = None
+_held: "dict[tuple[str, int], tuple]" = {}
+
+
+def _one_family(build):
+    """Cache ``build(family, n)`` in the one-family enumeration cache."""
+
+    @wraps(build)
+    def cached(family: FamilyId, n: int) -> tuple:
+        global _held_family
+        if family is not _held_family:
+            _held.clear()
+            _held_family = family
+        key = (build.__name__, n)
+        found = _held.get(key)
+        if found is None:
+            found = _held[key] = build(family, n)
+        return found
+
+    return cached
+
+
+@_one_family
 def _trees(family: FamilyId, n: int) -> "tuple[Tree, ...]":
     if n == 1:
         return ((),)
+    if family is FamilyId.ORDERED:
+        return _forests(family, n - 1)
+    if family is FamilyId.SCHROEDER:  # at least two children, sizes sum to n (leaves)
+        return _multi(family, n)
     out: "list[Tree]" = []
     if family is FamilyId.MOTZKIN:
         for child in _trees(family, n - 1):
@@ -72,34 +107,29 @@ def _trees(family: FamilyId, n: int) -> "tuple[Tree, ...]":
             for left in _trees(family, i):
                 for right in _trees(family, n - 1 - i):
                     out.append((left, right))
-    elif family is FamilyId.ORDERED:
-        for forest in _forests(family, n - 1):
-            out.append(forest)
-    elif family is FamilyId.FULL_BINARY:
+    else:  # full binary
         for i in range(1, n):
             for left in _trees(family, i):
                 for right in _trees(family, n - i):
                     out.append((left, right))
-    else:  # Schroeder: at least two children, sizes sum to n (leaves)
-        for i in range(1, n):
-            for first in _trees(family, i):
-                for rest in _forests(family, n - i):
-                    out.append((first,) + rest)
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@_one_family
+def _multi(family: FamilyId, total: int) -> "tuple[tuple[Tree, ...], ...]":
+    """Ordered forests of at least two trees with sizes summing to ``total``."""
+    out: "list[tuple[Tree, ...]]" = []
+    for i in range(1, total):
+        for first in _trees(family, i):
+            for rest in _forests(family, total - i):
+                out.append((first,) + rest)
+    return tuple(out)
+
+
+@_one_family
 def _forests(family: FamilyId, total: int) -> "tuple[tuple[Tree, ...], ...]":
     """Nonempty ordered forests with sizes summing to ``total``."""
-    out: "list[tuple[Tree, ...]]" = []
-    for i in range(1, total + 1):
-        for first in _trees(family, i):
-            if i == total:
-                out.append((first,))
-            else:
-                for rest in _forests(family, total - i):
-                    out.append((first,) + rest)
-    return tuple(out)
+    return _multi(family, total) + tuple((tree,) for tree in _trees(family, total))
 
 
 def tree_to_text(tree: Tree) -> str:
@@ -127,30 +157,57 @@ def census_tree(tree: Tree) -> "tuple[VertexCensus, ...]":
     return tuple(out)
 
 
+def _shape(tree: Tree, shapes: "dict[int, tuple[int, int]]") -> "tuple[int, int]":
+    """(vertices, leaves) of ``tree`` from those of its children, held by id."""
+    if not tree:
+        return 1, 1
+    vertices, leaves = 1, 0
+    for child in tree:
+        v, l = shapes[id(child)]
+        vertices += v
+        leaves += l
+    return vertices, leaves
+
+
+def _subtree_counts(levels: "list[tuple[Tree, ...]]") -> "dict[tuple[int, int], int]":
+    """Occurrences of each subtree (vertices, leaves) over the trees of ``levels[-1]``.
+
+    Every child of a tree in ``levels[i]`` is an object listed in
+    ``levels[:i]``.  Each distinct subtree's shape is computed once,
+    bottom up; then each top tree counts once and every tree passes its
+    multiplicity to each child occurrence, top down, so a child repeated
+    within one tree is counted as often as it occurs.
+    """
+    shapes: "dict[int, tuple[int, int]]" = {}
+    for level in levels[:-1]:
+        for tree in level:
+            shapes[id(tree)] = _shape(tree, shapes)
+    counts: "dict[tuple[int, int], int]" = {}
+    multiplicity: "dict[int, int]" = {}
+
+    def consume(tree: Tree, shape: "tuple[int, int]", m: int) -> None:
+        counts[shape] = counts.get(shape, 0) + m
+        for child in tree:
+            multiplicity[id(child)] = multiplicity.get(id(child), 0) + m
+
+    for tree in levels[-1]:
+        consume(tree, _shape(tree, shapes), 1)
+    for level in reversed(levels[:-1]):
+        for tree in level:
+            m = multiplicity.pop(id(tree), 0)
+            if m:
+                consume(tree, shapes[id(tree)], m)
+    return counts
+
+
 @lru_cache(maxsize=None)
 def _aggregate(family: FamilyId, n: int) -> "dict[StatKind, CensusTable]":
     by_vertices: "dict[tuple[int, int], int]" = {}
     by_leaves: "dict[tuple[int, int], int]" = {}
-
-    def walk(node: Tree) -> "tuple[int, int]":
-        if not node:
-            key = (n, 1)
-            by_vertices[key] = by_vertices.get(key, 0) + 1
-            by_leaves[key] = by_leaves.get(key, 0) + 1
-            return 1, 1
-        vertices, leaves = 1, 0
-        for child in node:
-            v, l = walk(child)
-            vertices += v
-            leaves += l
-        kv = (n, vertices)
-        kl = (n, leaves)
-        by_vertices[kv] = by_vertices.get(kv, 0) + 1
-        by_leaves[kl] = by_leaves.get(kl, 0) + 1
-        return vertices, leaves
-
-    for tree in _trees(family, n):
-        walk(tree)
+    levels = [_trees(family, i) for i in range(1, n + 1)]
+    for (vertices, leaves), m in _subtree_counts(levels).items():
+        by_vertices[n, vertices] = by_vertices.get((n, vertices), 0) + m
+        by_leaves[n, leaves] = by_leaves.get((n, leaves), 0) + m
     return {
         StatKind.VERTICES: CensusTable(family, StatKind.VERTICES, by_vertices),
         StatKind.LEAVES: CensusTable(family, StatKind.LEAVES, by_leaves),

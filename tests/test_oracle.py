@@ -1,8 +1,12 @@
 """Exhaustive enumeration: generation, censuses, and series cross-checks."""
 
+from collections import Counter
+
 import pytest
+from reference_oracle import ref_trees
 
 from treecensus import (
+    DEFAULT_BUDGETS,
     BudgetError,
     FamilyId,
     StatKind,
@@ -15,6 +19,7 @@ from treecensus import (
     tree_to_text,
     verify_family,
 )
+from treecensus import oracle
 
 LEAF = ()
 CHAIN3 = (((),),)  # three-vertex unary chain
@@ -181,3 +186,65 @@ def test_bivariate_matches_enumeration(family):
         bv = bivariate_series(family, n, ny)
         for j in range(1, ny + 1):
             assert bv.coefficient(n, j) == profile.get(j, 0), (family, n, j)
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_aggregate_matches_per_tree_walk(family):
+    """The shared-subtree census equals the per-vertex walk of every tree."""
+    for n in range(1, DEFAULT_BUDGETS[family] - 1):
+        vertices = [vertex for tree in enumerate_trees(family, n) for vertex in census_tree(tree)]
+        walked = {
+            StatKind.VERTICES: Counter(vertex.subtree_vertices for vertex in vertices),
+            StatKind.LEAVES: Counter(vertex.subtree_leaves for vertex in vertices),
+        }
+        for stat in StatKind:
+            expected = {(n, k): count for k, count in walked[stat].items()}
+            assert aggregate_census(family, n, stat).entries == expected, (family, n, stat)
+
+
+def test_subtree_counts_count_repeated_child_objects():
+    # one child object occurring twice in a tree counts twice, however deep
+    chain = (LEAF,)
+    pair = (chain, chain)
+    top = (chain, chain, LEAF)
+    top2 = (pair, pair)
+    levels = [(LEAF,), (chain,), (pair,), (top, top2)]
+    walked = Counter(
+        (vertex.subtree_vertices, vertex.subtree_leaves)
+        for tree in (top, top2)
+        for vertex in census_tree(tree)
+    )
+    assert oracle._subtree_counts(levels) == dict(walked)
+    assert walked[2, 1] == 6  # chain: twice under top, twice under each pair
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_enumeration_matches_reference_construction(family):
+    for n in range(1, 9):
+        texts = [tree_to_text(t) for t in enumerate_trees(family, n)]
+        assert texts == [tree_to_text(t) for t in ref_trees(family, n)], (family, n)
+
+
+def test_interleaved_families_enumerate_unchanged():
+    def texts(family):
+        return [[tree_to_text(t) for t in enumerate_trees(family, n)] for n in range(1, 9)]
+
+    first = texts(FamilyId.MOTZKIN)
+    between = texts(FamilyId.SCHROEDER)
+    again = texts(FamilyId.MOTZKIN)
+    for family, listed in ((FamilyId.MOTZKIN, first), (FamilyId.SCHROEDER, between), (FamilyId.MOTZKIN, again)):
+        for n, row in enumerate(listed, start=1):
+            assert len(row) == counting_coefficient(family, n)
+            assert row == [tree_to_text(t) for t in ref_trees(family, n)], (family, n)
+
+
+def test_enumeration_cache_holds_one_family():
+    schroeder = enumerate_trees(FamilyId.SCHROEDER, 6)
+    enumerate_trees(FamilyId.MOTZKIN, 6)
+    assert oracle._held_family is FamilyId.MOTZKIN
+    assert {n for name, n in oracle._held if name == "_trees"} == set(range(1, 7))
+    assert all(value is not schroeder for value in oracle._held.values())
+    # the Schroeder trees were dropped, so asking again builds them anew
+    rebuilt = enumerate_trees(FamilyId.SCHROEDER, 6)
+    assert rebuilt is not schroeder and rebuilt == schroeder
+    assert oracle._held_family is FamilyId.SCHROEDER
