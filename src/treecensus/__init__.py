@@ -9,125 +9,86 @@ cross-checks everything against exhaustive enumeration.
 
 __version__ = "1.0.0"
 
-from .asymptotics import (
-    AsymptoticProbability,
-    BenderInput,
-    ConvergenceRecord,
-    LemmaInapplicableError,
-    SchroederAsymptotics,
-    TightnessReport,
-    bender_forced_zero,
-    bender_limit,
-    limit_probability,
-    normalization_constant,
-    normalization_from_censuses,
-    richardson_check,
-    schroeder_closed_forms,
-    tightness_report,
-)
-from .bivariate import BivariateSeries
-from .errata import ERRATA, PUBLISHED_TABLES, Erratum, PublishedRow, published_row
-from .families import (
-    FAMILIES,
-    CensusTable,
-    DomainError,
-    FamilyDescriptor,
-    FamilyId,
-    SolverError,
-    StatKind,
-    bivariate_series,
-    census_coefficient,
-    census_series,
-    census_table_from_series,
-    counting_coefficient,
-    counting_series,
-    descriptor,
-    finite_probability,
-    fixed_point_solve,
-    max_stat_value,
-    multiplier_gf,
-    root_stat_gf,
-    total_leaves,
-    total_vertices,
-)
-from .oracle import (
-    BudgetError,
-    DEFAULT_BUDGETS,
-    VertexCensus,
-    aggregate_census,
-    census_tree,
-    enumerate_trees,
-    tree_to_text,
-    verify_family,
-)
-from .quadratic import QuadraticNumber
-from .ratfunc import FitError, PoleError, RationalFunction, fit_rational
-from .series import (
-    ConstantTermError,
-    PowerSeries,
-    SeriesError,
-    TruncationError,
-    ValuationError,
-)
+# Each submodule and the public names it defines.  Names resolve on first
+# access (PEP 562), so ``import treecensus.cli`` loads only what the CLI
+# imports itself.
+_SUBMODULE_NAMES = {
+    "asymptotics": (
+        "AsymptoticProbability",
+        "BenderInput",
+        "ConvergenceRecord",
+        "LemmaInapplicableError",
+        "SchroederAsymptotics",
+        "TightnessReport",
+        "bender_forced_zero",
+        "bender_limit",
+        "limit_probability",
+        "normalization_constant",
+        "normalization_from_censuses",
+        "richardson_check",
+        "schroeder_closed_forms",
+        "tightness_report",
+    ),
+    "bivariate": ("BivariateSeries",),
+    "errata": ("ERRATA", "PUBLISHED_TABLES", "Erratum", "PublishedRow", "published_row"),
+    "families": (
+        "FAMILIES",
+        "CensusTable",
+        "DomainError",
+        "FamilyDescriptor",
+        "FamilyId",
+        "SolverError",
+        "StatKind",
+        "bivariate_series",
+        "census_coefficient",
+        "census_series",
+        "census_table_from_series",
+        "counting_coefficient",
+        "counting_series",
+        "descriptor",
+        "finite_probability",
+        "fixed_point_solve",
+        "max_stat_value",
+        "multiplier_gf",
+        "root_stat_gf",
+        "total_leaves",
+        "total_vertices",
+    ),
+    "oracle": (
+        "BudgetError",
+        "DEFAULT_BUDGETS",
+        "VertexCensus",
+        "aggregate_census",
+        "census_tree",
+        "enumerate_trees",
+        "tree_to_text",
+        "verify_family",
+    ),
+    "quadratic": ("QuadraticNumber",),
+    "ratfunc": ("FitError", "PoleError", "RationalFunction", "fit_rational"),
+    "series": (
+        "ConstantTermError",
+        "PowerSeries",
+        "SeriesError",
+        "TruncationError",
+        "ValuationError",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 
-__all__ = [
-    "AsymptoticProbability",
-    "BenderInput",
-    "BivariateSeries",
-    "BudgetError",
-    "CensusTable",
-    "ConstantTermError",
-    "ConvergenceRecord",
-    "DEFAULT_BUDGETS",
-    "DomainError",
-    "ERRATA",
-    "Erratum",
-    "FAMILIES",
-    "FamilyDescriptor",
-    "FamilyId",
-    "FitError",
-    "LemmaInapplicableError",
-    "PUBLISHED_TABLES",
-    "PoleError",
-    "PowerSeries",
-    "PublishedRow",
-    "QuadraticNumber",
-    "RationalFunction",
-    "SchroederAsymptotics",
-    "SeriesError",
-    "SolverError",
-    "StatKind",
-    "TightnessReport",
-    "TruncationError",
-    "ValuationError",
-    "VertexCensus",
-    "aggregate_census",
-    "bender_forced_zero",
-    "bender_limit",
-    "bivariate_series",
-    "census_coefficient",
-    "census_series",
-    "census_table_from_series",
-    "census_tree",
-    "counting_coefficient",
-    "counting_series",
-    "descriptor",
-    "enumerate_trees",
-    "finite_probability",
-    "fit_rational",
-    "fixed_point_solve",
-    "limit_probability",
-    "max_stat_value",
-    "multiplier_gf",
-    "normalization_constant",
-    "normalization_from_censuses",
-    "published_row",
-    "richardson_check",
-    "root_stat_gf",
-    "schroeder_closed_forms",
-    "tightness_report",
-    "total_leaves",
-    "total_vertices",
-    "tree_to_text",
-    "verify_family",
-]
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> "list[str]":
+    return sorted(set(globals()) | set(__all__))

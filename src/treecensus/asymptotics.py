@@ -13,8 +13,8 @@ totals).  Everything except the convergence records is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .families import (
     FamilyId,
@@ -33,8 +33,7 @@ class LemmaInapplicableError(ArithmeticError):
     """The transfer lemma's hypotheses fail in a way that is not forced."""
 
 
-@dataclass(frozen=True)
-class BenderInput:
+class BenderInput(NamedTuple):
     """Inputs for one application of the transfer lemma.
 
     ``gf`` plays the role of A, ``ratio_limit`` is b, and
@@ -83,8 +82,7 @@ def normalization_constant(family: FamilyId) -> QuadraticNumber:
     return descriptor(family).normalization
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(NamedTuple):
     """Finite-size probabilities and their Richardson extrapolation."""
 
     sizes: "tuple[int, ...]"
@@ -93,23 +91,14 @@ class ConvergenceRecord:
     exact: QuadraticNumber
     gap: QuadraticNumber  # |extrapolate - exact|, exact in the field
 
-    def __post_init__(self):
-        if list(self.sizes) != sorted(set(self.sizes)):
-            raise ValueError("sizes must be strictly increasing")
 
-
-@dataclass(frozen=True)
-class AsymptoticProbability:
+class AsymptoticProbability(NamedTuple):
     family: FamilyId
     stat: StatKind
     k: int
     exact_value: QuadraticNumber
     method: str  # "closed-form" | "extrapolated"
     diagnostics: "ConvergenceRecord | None" = None
-
-    def __post_init__(self):
-        if not (0 <= self.exact_value <= 1):
-            raise ValueError(f"probability {self.exact_value} outside [0, 1]")
 
 
 def _exact_limit(family: FamilyId, stat: StatKind, k: int) -> QuadraticNumber:
@@ -136,6 +125,8 @@ def limit_probability(
     attached.
     """
     exact = _exact_limit(family, stat, k)
+    if not (0 <= exact <= 1):
+        raise ValueError(f"probability {exact} outside [0, 1]")
     diagnostics = richardson_check(family, stat, k, sizes) if check else None
     return AsymptoticProbability(
         family=family,
@@ -161,6 +152,8 @@ def richardson_check(
     """
     if len(sizes) < 2:
         raise ValueError("need at least two sizes to extrapolate")
+    if list(sizes) != sorted(set(sizes)):
+        raise ValueError("sizes must be strictly increasing")
     probs = tuple(finite_probability(family, stat, k, n) for n in sizes)
     n1, n2 = sizes[-2], sizes[-1]
     p1, p2 = probs[-2], probs[-1]
@@ -173,8 +166,7 @@ def richardson_check(
 # -- Schroeder closed-form asymptotics ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchroederAsymptotics:
+class SchroederAsymptotics(NamedTuple):
     """Floating evaluations of the displayed Schroeder asymptotic formulas.
 
     ``leaf_probability`` reproduces the printed closed-form constant
@@ -207,8 +199,7 @@ def schroeder_closed_forms(n: int) -> SchroederAsymptotics:
 # -- tightness ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(NamedTuple):
     """Partial sum over k of the limit probabilities, and its gap to 1.
 
     A statistic is called tight when the full sum equals 1; the report

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .asymptotics import LemmaInapplicableError, limit_probability, tightness_report
@@ -34,7 +33,6 @@ from .families import (
     multiplier_gf,
     root_stat_gf,
 )
-from .oracle import BudgetError, DEFAULT_BUDGETS, aggregate_census, verify_family
 from .quadratic import QuadraticNumber
 from .ratfunc import FitError
 from .render import (
@@ -172,6 +170,8 @@ def _published_rounded(prob, published_text: str) -> str:
 def _cmd_coeffs(args) -> int:
     family = args.family
     ns = _parse_range(args.n)
+    if ns[0] < 0:
+        raise DomainError(f"--n must be nonnegative, got {ns[0]}")
     order = max(ns)
     if args.series == "counting":
         series = counting_series(family, max(order, 1))
@@ -248,6 +248,8 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import DEFAULT_BUDGETS, verify_family
+
     families = [args.family] if args.family else list(FamilyId)
     reports = []
     all_passed = True
@@ -278,7 +280,7 @@ def _cmd_verify(args) -> int:
                 "n_max": r.n_max,
                 "checks": r.checks,
                 "passed": r.passed,
-                "mismatches": [asdict(m) for m in r.mismatches],
+                "mismatches": [m._asdict() for m in r.mismatches],
             }
             for r in reports
         ],
@@ -306,12 +308,19 @@ def _cmd_verify(args) -> int:
 
 def _check_n_max(family: FamilyId, n_max: int) -> None:
     """Refuse a vacuous or over-budget request instead of clamping it."""
+    from .oracle import DEFAULT_BUDGETS, BudgetError
+
     budget = DEFAULT_BUDGETS[family]
     if not 1 <= n_max <= budget:
         raise BudgetError(f"--n-max {n_max} is outside 1..{budget} for {family.value}")
 
 
+_GOLDEN_COLUMNS = ("family", "stat", "n", "k", "count")
+
+
 def _golden_rows(families, n_max_flag):
+    from .oracle import DEFAULT_BUDGETS, aggregate_census
+
     for family in families:
         n_max = n_max_flag if n_max_flag is not None else DEFAULT_BUDGETS[family]
         for stat in StatKind:
@@ -324,7 +333,7 @@ def _golden_rows(families, n_max_flag):
 
 
 def _write_golden(path: str, families, n_max_flag) -> None:
-    lines = ["family,stat,n,k,count"]
+    lines = [",".join(_GOLDEN_COLUMNS)]
     for family, stat, n, k, count in _golden_rows(families, n_max_flag):
         lines.append(f"{family},{stat},{n},{k},{count}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -332,12 +341,20 @@ def _write_golden(path: str, families, n_max_flag) -> None:
 
 
 def _check_golden(path: str) -> dict:
+    """Recompute every row of a stored census csv; a file with no rows is refused."""
     import csv as _csv
 
     mismatches = []
     checked = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in _csv.DictReader(fh):
+        reader = _csv.DictReader(fh)
+        if reader.fieldnames is not None:
+            missing = [column for column in _GOLDEN_COLUMNS if column not in reader.fieldnames]
+            if missing:
+                raise ValueError(f"golden file {path} lacks the column(s) {', '.join(missing)}")
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"golden file {path}, line {reader.line_num}: too few fields")
             family = FamilyId(row["family"])
             stat = StatKind(row["stat"])
             n, k, count = int(row["n"]), int(row["k"]), int(row["count"])
@@ -347,6 +364,8 @@ def _check_golden(path: str) -> dict:
                 mismatches.append(
                     {"family": family.value, "stat": stat.value, "n": n, "k": k, "stored": count, "computed": actual}
                 )
+    if not checked:
+        raise ValueError(f"golden file {path} has no rows to check")
     return {"path": path, "checked": checked, "mismatches": mismatches, "passed": not mismatches}
 
 
@@ -356,7 +375,7 @@ def _check_golden(path: str) -> dict:
 def _cmd_errata(args) -> int:
     headers = ["id", "location", "printed", "computed"]
     rows = [[e.ident, e.location, e.printed, e.computed] for e in ERRATA]
-    payload = {"errata": [asdict(e) for e in ERRATA]}
+    payload = {"errata": [e._asdict() for e in ERRATA]}
     if args.format == "markdown":
         blocks = []
         for e in ERRATA:
@@ -491,12 +510,12 @@ def main(argv: "list[str] | None" = None) -> int:
         return args.func(args)
     except (
         DomainError,
-        BudgetError,
         ValueError,
         SeriesError,
         SolverError,
         LemmaInapplicableError,
         FitError,
+        OSError,  # an unusable --out, --golden or --write-golden path
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

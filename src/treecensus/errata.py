@@ -11,13 +11,12 @@ route that adjudicated it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import FamilyId, StatKind
 
 
-@dataclass(frozen=True)
-class PublishedRow:
+class PublishedRow(NamedTuple):
     gf_text: str  # root-statistic GF as printed
     probability_text: str  # probability as printed
 
@@ -98,8 +97,7 @@ def published_row(family: FamilyId, stat: StatKind, k: int) -> "PublishedRow | N
     return PUBLISHED_TABLES.get((family, stat), {}).get(k)
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(NamedTuple):
     ident: str
     location: str
     printed: str

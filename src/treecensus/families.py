@@ -32,7 +32,6 @@ only memoise deterministic values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +39,7 @@ from itertools import accumulate
 from math import comb
 from operator import add as _plus
 from operator import mul as _times
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bivariate import BivariateSeries
 from .quadratic import QuadraticNumber
@@ -74,8 +73,7 @@ class Recurrence:
     p_0(n)*a_n = p_1(n)*a_(n-1) + ... + p_r(n)*a_(n-r) for every
     n >= len(initial).  ``initial`` holds a_0, a_1, ...; ``polynomials``
     holds p_0..p_r, each as integer coefficients in ascending powers
-    of n.  (A plain class: a frozen dataclass would add about 1 ms to
-    every cold start.)
+    of n.
     """
 
     __slots__ = ("initial", "polynomials")
@@ -89,8 +87,7 @@ class Recurrence:
 _SHIFTED_CATALAN = Recurrence((0, 1), ((0, 1), (-6, 4)))
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class FamilyDescriptor(NamedTuple):
     """Constants attached to one tree family.
 
     ``size_unit`` is what the counting variable x enumerates;
@@ -592,8 +589,7 @@ def max_stat_value(family: FamilyId, stat: StatKind, n: int) -> int:
 # -- census tables ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusTable:
+class CensusTable(NamedTuple):
     """Exact vertex counts by (tree size n, statistic value k).
 
     Zero counts are omitted; ``count`` treats missing keys as 0.  For a
@@ -602,7 +598,7 @@ class CensusTable:
 
     family: FamilyId
     stat: StatKind
-    entries: "dict[tuple[int, int], int]" = field(default_factory=dict)
+    entries: "dict[tuple[int, int], int]"
 
     def count(self, n: int, k: int) -> int:
         return self.entries.get((n, k), 0)

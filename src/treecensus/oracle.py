@@ -16,8 +16,8 @@ Nothing here touches the series machinery except inside
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 from .families import (
     CensusTable,
@@ -44,8 +44,7 @@ class BudgetError(ValueError):
     """Requested size exceeds the enumeration budget."""
 
 
-@dataclass(frozen=True)
-class VertexCensus:
+class VertexCensus(NamedTuple):
     subtree_vertices: int
     subtree_leaves: int
 
@@ -226,8 +225,7 @@ def aggregate_census(family: FamilyId, n: int, stat: StatKind, ceiling: "int | N
     return _aggregate(family, n)[stat]
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     family: FamilyId
     stat: "StatKind | None"
     n: int
@@ -237,8 +235,7 @@ class Mismatch:
     actual: int  # series value
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     family: FamilyId
     n_max: int
     checks: int

@@ -8,8 +8,6 @@ runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -96,6 +94,9 @@ def to_markdown(headers: Sequence[str], rows: "Sequence[Sequence[str]]") -> str:
 
 
 def to_csv(headers: Sequence[str], rows: "Sequence[Sequence[str]]") -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)

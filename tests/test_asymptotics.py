@@ -23,6 +23,7 @@ from treecensus import (
     total_leaves,
     total_vertices,
 )
+from treecensus import asymptotics
 from treecensus.render import decimal_string
 
 X = RationalFunction((0, 1))
@@ -126,6 +127,21 @@ def test_limit_probability_attaches_diagnostics():
     prob = limit_probability(FamilyId.MOTZKIN, StatKind.VERTICES, 1, check=True, sizes=SMALL_SIZES)
     assert prob.diagnostics is not None
     assert prob.diagnostics.exact == prob.exact_value
+
+
+@pytest.mark.parametrize("sizes", [(600, 300), (300, 300), (150, 600, 300)])
+def test_richardson_rejects_sizes_out_of_order(sizes):
+    with pytest.raises(ValueError, match="sizes must be strictly increasing"):
+        richardson_check(FamilyId.ORDERED, StatKind.VERTICES, 2, sizes=sizes)
+    with pytest.raises(ValueError, match="sizes must be strictly increasing"):
+        limit_probability(FamilyId.ORDERED, StatKind.VERTICES, 2, check=True, sizes=sizes)
+
+
+@pytest.mark.parametrize("value", [QuadraticNumber(Fraction(3, 2)), QuadraticNumber(0, -1, 2)])
+def test_limit_probability_rejects_values_outside_unit_interval(value, monkeypatch):
+    monkeypatch.setattr(asymptotics, "_exact_limit", lambda family, stat, k: value)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        limit_probability(FamilyId.MOTZKIN, StatKind.VERTICES, 1)
 
 
 def test_schroeder_closed_forms_against_series():

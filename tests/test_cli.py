@@ -302,3 +302,60 @@ def test_bad_choice_lists_valid_values(argv, bad, choices, capsys):
     assert len(errors) == 1
     assert errors[0].endswith(f"invalid choice: {bad!r} (choose from {choices})")
     assert "_family" not in captured.err and "_stat" not in captured.err
+
+
+def _assert_one_line_error(code, captured, start="error: "):
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(start)
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeffs", "--family", "motzkin", "--series", "counting", "--n", "-1"),
+        ("coeffs", "--family", "motzkin", "--series", "census", "--stat", "vertices", "--k", "1", "--n", "-1"),
+        ("coeffs", "--family", "ordered", "--series", "multiplier", "--n=-2..3"),
+    ],
+)
+def test_coeffs_negative_n_exit_code(argv, capsys):
+    code = main(list(argv))
+    _assert_one_line_error(code, capsys.readouterr(), "error: --n must be nonnegative")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--family", "motzkin", "--stat", "vertices", "--k", "1", "--out", "{missing}/x.md"),
+        ("table", "--family", "motzkin", "--stat", "vertices", "--k", "1", "--out", "{tmp}"),
+        ("verify", "--family", "motzkin", "--n-max", "3", "--write-golden", "{missing}/g.csv"),
+        ("verify", "--family", "motzkin", "--n-max", "3", "--golden", "{tmp}"),
+        ("verify", "--family", "motzkin", "--n-max", "3", "--golden", "{missing}/g.csv"),
+    ],
+    ids=["out-missing-dir", "out-directory", "write-golden-missing-dir", "golden-directory", "golden-missing"],
+)
+def test_unusable_path_exit_code(argv, capsys, tmp_path):
+    paths = {"missing": tmp_path / "missing", "tmp": tmp_path}
+    code = main([arg.format(**paths) for arg in argv])
+    _assert_one_line_error(code, capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "has no rows to check"),
+        ("family,stat,n,k,count\n", "has no rows to check"),
+        ("family,stat,n,count\nmotzkin,vertices,1,1\n", "lacks the column(s) k"),
+        ("family,stat,n,k,count\nmotzkin,vertices,1\n", "line 2: too few fields"),
+    ],
+    ids=["empty", "header-only", "missing-column", "short-row"],
+)
+def test_unusable_golden_file_exit_code(text, message, capsys, tmp_path):
+    golden = tmp_path / "golden.csv"
+    golden.write_text(text)
+    code = main(["verify", "--family", "motzkin", "--n-max", "3", "--golden", str(golden)])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert message in captured.err

@@ -1,6 +1,5 @@
 """Counting series, functional equations, multipliers and censuses."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -96,7 +95,7 @@ def test_census_coefficient_rejects_non_integral_multiplier(monkeypatch):
     # 2*m_n = m_(n-1) leaves a remainder at n = 1
     motzkin = families.FAMILIES[FamilyId.MOTZKIN]
     halving = Recurrence((1,), ((2,), (1,)))
-    monkeypatch.setitem(families.FAMILIES, FamilyId.MOTZKIN, replace(motzkin, multiplier=halving))
+    monkeypatch.setitem(families.FAMILIES, FamilyId.MOTZKIN, motzkin._replace(multiplier=halving))
     families._multiplier_integers.cache_clear()
     with pytest.raises(SolverError, match="multiplier"):
         census_coefficient(FamilyId.MOTZKIN, StatKind.VERTICES, 1, 3)
