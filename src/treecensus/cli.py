@@ -14,6 +14,7 @@ order; a version header is added only on request.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -256,6 +257,12 @@ def _cmd_verify(args) -> int:
     if args.n_max is not None:
         for family in families:
             _check_n_max(family, args.n_max)
+    # Refuse an unusable path before the enumeration, which takes seconds.
+    # The csv is written before it is checked, so the same path may be both.
+    if args.golden and not (args.write_golden and os.path.abspath(args.golden) == os.path.abspath(args.write_golden)):
+        open(args.golden, "rb").close()
+    if args.write_golden:
+        open(args.write_golden, "a", encoding="utf-8").close()
     for family in families:
         n_max = args.n_max if args.n_max is not None else DEFAULT_BUDGETS[family]
         report = verify_family(family, n_max)

@@ -1,22 +1,28 @@
 """Exhaustive tree enumeration and direct per-vertex censuses.
 
 This is the ground truth the series engine is checked against: every
-tree of a family up to a size budget is generated explicitly (as nested
-tuples of children, leaf = empty tuple), and the resulting counts must
-match the generating-function coefficients exactly.  A tree's children
-are the very objects listed for the smaller sizes, so the trees up to
-the budget form one shared DAG: the census of size n lists every tree
-of size at most n and reads its child edges, carrying down how many
-times each distinct subtree occurs instead of walking every vertex of
+tree of a family up to a size budget is generated explicitly, and the
+resulting counts must match the generating-function coefficients
+exactly.  The enumeration builds one index table per family.  Each tree
+is the tuple of its children's indices into the table; the trees of
+each size form a range of indices, sizes ascending, so every child
+lies below its parent; and each tree's vertex and leaf counts are
+stored once, from its children's, when it is built.  The census of
+size n gives each size-n tree multiplicity 1 and walks the indices
+downwards, adding each tree's multiplicity to its two counts and to
+each of its child occurrences, instead of walking every vertex of
 every tree (``census_tree`` keeps the per-vertex walk as the
-reference).  The enumeration cache holds one family at a time.
-Nothing here touches the series machinery except inside
-``verify_family``, which performs the comparison.
+reference).  The nested-tuple trees of ``enumerate_trees`` (a tree is
+the tuple of its child trees, a leaf the empty tuple) are a view built
+from the same table, in the same order, one object per subtree.  One
+family's table is held at a time.  Nothing here touches the series
+machinery except inside ``verify_family``, which performs the
+comparison.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import NamedTuple
 
 from .families import (
@@ -54,7 +60,18 @@ def enumerate_trees(family: FamilyId, n: int, ceiling: "int | None" = None) -> "
 
     Children compositions are produced in lexicographic order, so the
     output order is deterministic.  Sizes above the budget are refused.
+    Each child of a listed tree is the object listed for its own size.
     """
+    _check_size(family, n, ceiling)
+    table = _table(family)
+    level = table.level(n)
+    nested, children = table.nested, table.children
+    for index in range(len(nested), level.stop):
+        nested.append(tuple([nested[child] for child in children[index]]))
+    return tuple(nested[level.start : level.stop])
+
+
+def _check_size(family: FamilyId, n: int, ceiling: "int | None") -> None:
     ceiling = DEFAULT_BUDGETS[family] if ceiling is None else ceiling
     if n > ceiling:
         raise BudgetError(
@@ -62,73 +79,154 @@ def enumerate_trees(family: FamilyId, n: int, ceiling: "int | None" = None) -> "
         )
     if n < 1:
         raise BudgetError(f"no {family.value} trees of size {n}")
-    return _trees(family, n)
 
 
-# The enumeration of the family last asked for, keyed (function name, size).
-# Switching families drops it, so a verify of every family holds the
-# largest family's trees rather than all four.
-_held_family: "FamilyId | None" = None
-_held: "dict[tuple[str, int], tuple]" = {}
+# Forests as (child tuples, vertices, leaves): the counts are those of a
+# tree that has each forest as its children.
+_Forests = tuple[list[tuple[int, ...]], bytes, bytes]
 
 
-def _one_family(build):
-    """Cache ``build(family, n)`` in the one-family enumeration cache."""
+class _Table:
+    """One family's trees up to some size, as tuples of child indices.
 
-    @wraps(build)
-    def cached(family: FamilyId, n: int) -> tuple:
-        global _held_family
-        if family is not _held_family:
-            _held.clear()
-            _held_family = family
-        key = (build.__name__, n)
-        found = _held.get(key)
+    ``children[i]`` lists tree i's children; ``vertices[i]`` and
+    ``leaves[i]`` are its counts.  Levels are built on demand, each in
+    the enumeration's order.  A level's index list, and the forests of a
+    total size, are built only once a larger tree takes them as
+    children, so every reference to a tree is one ``int`` object and
+    the top level's indices need none.  A list of forests comes with the
+    vertex and leaf counts of a tree having each forest as its children.
+    """
+
+    def __init__(self, family: FamilyId) -> None:
+        self.family = family
+        self.children: "list[tuple[int, ...]]" = [()]  # tree 0 is the one-vertex tree
+        self.vertices = bytearray([1])
+        self.leaves = bytearray([1])
+        self.starts = [0, 0, 1]  # level n is range(starts[n], starts[n + 1])
+        self.nested: "list[Tree]" = []  # the enumerate_trees view, by index
+        self._indices: "dict[int, list[int]]" = {}
+        self._singles: "dict[int, _Forests]" = {}
+        self._forests: "dict[int, _Forests]" = {}
+
+    def level(self, n: int) -> range:
+        """Indices of the size-n trees; builds every level up to n."""
+        while len(self.starts) < n + 2:
+            self._build(len(self.starts) - 1)
+        return range(self.starts[n], self.starts[n + 1])
+
+    def _build(self, n: int) -> None:
+        if n > 128:  # a size-n tree has at most 2n - 1 vertices, and counts are bytes
+            raise BudgetError(f"size {n} is beyond what the enumeration can count")
+        family = self.family
+        if family is FamilyId.MOTZKIN:  # one child of size n - 1, or two summing to n - 1
+            built = _concat(self._single(n - 1), self._joined(n - 1, self._single))
+        elif family is FamilyId.ORDERED:
+            built = self._forest(n - 1)
+        elif family is FamilyId.FULL_BINARY:
+            built = self._joined(n, self._single)
+        else:  # Schroeder: at least two children, sizes sum to n (leaves)
+            built = self._joined(n, self._forest)
+        self.children += built[0]
+        self.vertices += built[1]
+        self.leaves += built[2]
+        self.starts.append(len(self.children))
+
+    def census(self, n: int) -> "tuple[dict[int, int], dict[int, int]]":
+        """Subtree occurrences over the size-n trees, by vertices and by leaves.
+
+        Each size-n tree counts once; walking the indices downwards,
+        every tree adds its multiplicity to its counts and passes it to
+        each child occurrence, so a child repeated within one tree
+        counts as often as it occurs.
+        """
+        top = self.level(n)
+        children, vertices, leaves = self.children, self.vertices, self.leaves
+        multiplicity = [0] * top.start + [1] * len(top)
+        by_vertices = [0] * 256  # every count is a byte
+        by_leaves = [0] * 256
+        for index in reversed(range(top.stop)):
+            m = multiplicity[index]
+            if m:
+                by_vertices[vertices[index]] += m
+                by_leaves[leaves[index]] += m
+                for child in children[index]:
+                    multiplicity[child] += m
+        return (
+            {k: m for k, m in enumerate(by_vertices) if m},
+            {k: m for k, m in enumerate(by_leaves) if m},
+        )
+
+    def _ids(self, size: int) -> "list[int]":
+        """The size-``size`` indices as one list, whose ``int``s every tuple then shares."""
+        found = self._indices.get(size)
         if found is None:
-            found = _held[key] = build(family, n)
+            found = self._indices[size] = list(self.level(size))
         return found
 
-    return cached
+    def _single(self, size: int) -> _Forests:
+        """Forests of one size-``size`` tree."""
+        found = self._singles.get(size)
+        if found is None:
+            level = self.level(size)
+            found = self._singles[size] = (
+                [(tree,) for tree in self._ids(size)],
+                self.vertices[level.start : level.stop].translate(_RAISE[1]),
+                self.leaves[level.start : level.stop],
+            )
+        return found
+
+    def _forest(self, total: int) -> _Forests:
+        """Nonempty ordered forests with sizes summing to ``total``."""
+        found = self._forests.get(total)
+        if found is None:
+            if self.family is not FamilyId.SCHROEDER:
+                longer = self._joined(total, self._forest)
+            elif total > 1:  # the Schroeder trees of that size have these children
+                level = self.level(total)
+                longer = (
+                    self.children[level.start : level.stop],
+                    self.vertices[level.start : level.stop],
+                    self.leaves[level.start : level.stop],
+                )
+            else:
+                longer = ([], b"", b"")
+            found = self._forests[total] = _concat(longer, self._single(total))
+        return found
+
+    def _joined(self, total: int, rests_of) -> _Forests:
+        """A tree followed by each forest of ``rests_of``, sizes summing to ``total``."""
+        out: "list[tuple[int, ...]]" = []
+        vertices, leaves = bytearray(), bytearray()
+        for i in range(1, total):
+            rests, rest_vertices, rest_leaves = rests_of(total - i)
+            for first in self._ids(i):
+                out += [(first, *rest) for rest in rests]
+                vertices += rest_vertices.translate(_RAISE[self.vertices[first]])
+                leaves += rest_leaves.translate(_RAISE[self.leaves[first]])
+        return out, vertices, leaves
 
 
-@_one_family
-def _trees(family: FamilyId, n: int) -> "tuple[Tree, ...]":
-    if n == 1:
-        return ((),)
-    if family is FamilyId.ORDERED:
-        return _forests(family, n - 1)
-    if family is FamilyId.SCHROEDER:  # at least two children, sizes sum to n (leaves)
-        return _multi(family, n)
-    out: "list[Tree]" = []
-    if family is FamilyId.MOTZKIN:
-        for child in _trees(family, n - 1):
-            out.append((child,))
-        for i in range(1, n - 1):
-            for left in _trees(family, i):
-                for right in _trees(family, n - 1 - i):
-                    out.append((left, right))
-    else:  # full binary
-        for i in range(1, n):
-            for left in _trees(family, i):
-                for right in _trees(family, n - i):
-                    out.append((left, right))
-    return tuple(out)
+# _RAISE[c] maps a count byte x to x + c (mod 256); _build keeps every sum below 256.
+_BYTES_TWICE = bytes(range(256)) * 2
+_RAISE = [_BYTES_TWICE[c : c + 256] for c in range(256)]
 
 
-@_one_family
-def _multi(family: FamilyId, total: int) -> "tuple[tuple[Tree, ...], ...]":
-    """Ordered forests of at least two trees with sizes summing to ``total``."""
-    out: "list[tuple[Tree, ...]]" = []
-    for i in range(1, total):
-        for first in _trees(family, i):
-            for rest in _forests(family, total - i):
-                out.append((first,) + rest)
-    return tuple(out)
+def _concat(first: _Forests, second: _Forests) -> _Forests:
+    return first[0] + second[0], first[1] + second[1], first[2] + second[2]
 
 
-@_one_family
-def _forests(family: FamilyId, total: int) -> "tuple[tuple[Tree, ...], ...]":
-    """Nonempty ordered forests with sizes summing to ``total``."""
-    return _multi(family, total) + tuple((tree,) for tree in _trees(family, total))
+# The table of the family last asked for.  Switching families drops it,
+# so a verify of every family holds the largest family's trees rather
+# than all four.
+_held: "_Table | None" = None
+
+
+def _table(family: FamilyId) -> _Table:
+    global _held
+    if _held is None or _held.family is not family:
+        _held = _Table(family)
+    return _held
 
 
 def tree_to_text(tree: Tree) -> str:
@@ -156,72 +254,18 @@ def census_tree(tree: Tree) -> "tuple[VertexCensus, ...]":
     return tuple(out)
 
 
-def _shape(tree: Tree, shapes: "dict[int, tuple[int, int]]") -> "tuple[int, int]":
-    """(vertices, leaves) of ``tree`` from those of its children, held by id."""
-    if not tree:
-        return 1, 1
-    vertices, leaves = 1, 0
-    for child in tree:
-        v, l = shapes[id(child)]
-        vertices += v
-        leaves += l
-    return vertices, leaves
-
-
-def _subtree_counts(levels: "list[tuple[Tree, ...]]") -> "dict[tuple[int, int], int]":
-    """Occurrences of each subtree (vertices, leaves) over the trees of ``levels[-1]``.
-
-    Every child of a tree in ``levels[i]`` is an object listed in
-    ``levels[:i]``.  Each distinct subtree's shape is computed once,
-    bottom up; then each top tree counts once and every tree passes its
-    multiplicity to each child occurrence, top down, so a child repeated
-    within one tree is counted as often as it occurs.
-    """
-    shapes: "dict[int, tuple[int, int]]" = {}
-    for level in levels[:-1]:
-        for tree in level:
-            shapes[id(tree)] = _shape(tree, shapes)
-    counts: "dict[tuple[int, int], int]" = {}
-    multiplicity: "dict[int, int]" = {}
-
-    def consume(tree: Tree, shape: "tuple[int, int]", m: int) -> None:
-        counts[shape] = counts.get(shape, 0) + m
-        for child in tree:
-            multiplicity[id(child)] = multiplicity.get(id(child), 0) + m
-
-    for tree in levels[-1]:
-        consume(tree, _shape(tree, shapes), 1)
-    for level in reversed(levels[:-1]):
-        for tree in level:
-            m = multiplicity.pop(id(tree), 0)
-            if m:
-                consume(tree, shapes[id(tree)], m)
-    return counts
-
-
 @lru_cache(maxsize=None)
 def _aggregate(family: FamilyId, n: int) -> "dict[StatKind, CensusTable]":
-    by_vertices: "dict[tuple[int, int], int]" = {}
-    by_leaves: "dict[tuple[int, int], int]" = {}
-    levels = [_trees(family, i) for i in range(1, n + 1)]
-    for (vertices, leaves), m in _subtree_counts(levels).items():
-        by_vertices[n, vertices] = by_vertices.get((n, vertices), 0) + m
-        by_leaves[n, leaves] = by_leaves.get((n, leaves), 0) + m
+    by_vertices, by_leaves = _table(family).census(n)
     return {
-        StatKind.VERTICES: CensusTable(family, StatKind.VERTICES, by_vertices),
-        StatKind.LEAVES: CensusTable(family, StatKind.LEAVES, by_leaves),
+        StatKind.VERTICES: CensusTable(family, StatKind.VERTICES, {(n, k): m for k, m in by_vertices.items()}),
+        StatKind.LEAVES: CensusTable(family, StatKind.LEAVES, {(n, k): m for k, m in by_leaves.items()}),
     }
 
 
 def aggregate_census(family: FamilyId, n: int, stat: StatKind, ceiling: "int | None" = None) -> CensusTable:
     """Brute-force vertex counts by statistic value over all size-n trees."""
-    ceiling = DEFAULT_BUDGETS[family] if ceiling is None else ceiling
-    if n > ceiling:
-        raise BudgetError(
-            f"size {n} exceeds the {family.value} enumeration budget of {ceiling}"
-        )
-    if n < 1:
-        raise BudgetError(f"no {family.value} trees of size {n}")
+    _check_size(family, n, ceiling)
     return _aggregate(family, n)[stat]
 
 
@@ -267,8 +311,7 @@ def verify_family(family: FamilyId, n_max: "int | None" = None) -> VerificationR
             mismatches.append(Mismatch(family, stat, n, k, quantity, expected, actual))
 
     for n in range(1, n_max + 1):
-        trees = enumerate_trees(family, n, ceiling=n_max)
-        record(None, n, None, "tree count", len(trees), counting_coefficient(family, n))
+        record(None, n, None, "tree count", len(_table(family).level(n)), counting_coefficient(family, n))
         vertex_total = total_vertices(family, n)
         vertex_table = aggregate_census(family, n, StatKind.VERTICES, ceiling=n_max)
         # every leaf, and only a leaf, has a one-vertex subtree

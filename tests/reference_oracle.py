@@ -1,9 +1,10 @@
 """The enumeration as first written: one branch per family.
 
-The package builds Schroeder trees as the forests of at least two
-trees and caches one family's enumeration at a time.  This is the
-earlier construction, with its own cache of every family, as the tests'
-reference for the order and shape of the enumerated trees.
+The package enumerates into an index table of child indices, builds
+Schroeder trees as the forests of at least two trees and holds one
+family's table at a time.  This is the earlier construction of nested
+tuples, with its own cache of every family, as the tests' reference for
+the order and shape of the enumerated trees.
 """
 
 from functools import lru_cache

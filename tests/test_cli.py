@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from treecensus import FitError, LemmaInapplicableError, SeriesError, SolverError, cli
+from treecensus import FitError, LemmaInapplicableError, SeriesError, SolverError, cli, oracle
 from treecensus.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -340,6 +340,38 @@ def test_unusable_path_exit_code(argv, capsys, tmp_path):
     paths = {"missing": tmp_path / "missing", "tmp": tmp_path}
     code = main([arg.format(**paths) for arg in argv])
     _assert_one_line_error(code, capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--golden", "{missing}/g.csv"),
+        ("verify", "--golden", "{tmp}"),
+        ("verify", "--write-golden", "{missing}/g.csv"),
+        ("verify", "--write-golden", "{tmp}"),
+        ("verify", "--write-golden", "{tmp}/g.csv", "--golden", "{missing}/g.csv"),
+    ],
+    ids=["golden-missing", "golden-directory", "write-golden-missing-dir", "write-golden-directory", "golden-and-write"],
+)
+def test_unusable_golden_path_is_refused_before_enumerating(argv, monkeypatch, capsys, tmp_path):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("verify enumerated trees before refusing the path")
+
+    monkeypatch.setattr(oracle, "verify_family", enumerate_nothing)
+    paths = {"missing": tmp_path / "missing", "tmp": tmp_path}
+    code = main([arg.format(**paths) for arg in argv])
+    _assert_one_line_error(code, capsys.readouterr())
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_write_golden_then_check_the_same_path(tmp_path, capsys):
+    path = tmp_path / "census.csv"
+    code, out = run(
+        capsys, "verify", "--n-max", "4", "--write-golden", str(path), "--golden", str(path), "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["golden"] == {"path": str(path), "checked": 76, "mismatches": [], "passed": True}
+    assert path.read_text() == (DATA / "census_small.csv").read_text()
 
 
 @pytest.mark.parametrize(

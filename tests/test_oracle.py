@@ -203,19 +203,21 @@ def test_aggregate_matches_per_tree_walk(family):
 
 
 def test_subtree_counts_count_repeated_child_objects():
-    # one child object occurring twice in a tree counts twice, however deep
+    # one child index occurring twice in a tree counts twice, however deep
     chain = (LEAF,)
     pair = (chain, chain)
     top = (chain, chain, LEAF)
     top2 = (pair, pair)
-    levels = [(LEAF,), (chain,), (pair,), (top, top2)]
-    walked = Counter(
-        (vertex.subtree_vertices, vertex.subtree_leaves)
-        for tree in (top, top2)
-        for vertex in census_tree(tree)
-    )
-    assert oracle._subtree_counts(levels) == dict(walked)
-    assert walked[2, 1] == 6  # chain: twice under top, twice under each pair
+    table = oracle._Table(FamilyId.ORDERED)
+    table.children = [(), (0,), (1, 1), (1, 1, 0), (2, 2)]  # LEAF, chain, pair, top, top2
+    roots = [census_tree(tree)[-1] for tree in (LEAF, chain, pair, top, top2)]
+    table.vertices = bytearray(root.subtree_vertices for root in roots)
+    table.leaves = bytearray(root.subtree_leaves for root in roots)
+    table.starts = [0, 0, 1, 2, 3, 5]  # the top level holds top and top2
+    walked = [vertex for tree in (top, top2) for vertex in census_tree(tree)]
+    by_vertices = Counter(vertex.subtree_vertices for vertex in walked)
+    assert table.census(4) == (by_vertices, Counter(vertex.subtree_leaves for vertex in walked))
+    assert by_vertices[2] == 6  # chain: twice under top, twice under each pair
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
@@ -240,11 +242,38 @@ def test_interleaved_families_enumerate_unchanged():
 
 def test_enumeration_cache_holds_one_family():
     schroeder = enumerate_trees(FamilyId.SCHROEDER, 6)
+    held = oracle._held
     enumerate_trees(FamilyId.MOTZKIN, 6)
-    assert oracle._held_family is FamilyId.MOTZKIN
-    assert {n for name, n in oracle._held if name == "_trees"} == set(range(1, 7))
-    assert all(value is not schroeder for value in oracle._held.values())
-    # the Schroeder trees were dropped, so asking again builds them anew
+    assert oracle._held is not held and oracle._held.family is FamilyId.MOTZKIN
+    motzkin_trees = sum(counting_coefficient(FamilyId.MOTZKIN, n) for n in range(1, 7))
+    assert len(oracle._held.children) == len(oracle._held.nested) == motzkin_trees
+    # the Schroeder table was dropped, so asking again builds its trees anew
     rebuilt = enumerate_trees(FamilyId.SCHROEDER, 6)
-    assert rebuilt is not schroeder and rebuilt == schroeder
-    assert oracle._held_family is FamilyId.SCHROEDER
+    assert rebuilt == schroeder
+    assert all(new is not old for new, old in zip(rebuilt, schroeder))
+    assert oracle._held.family is FamilyId.SCHROEDER
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_enumerated_children_are_the_trees_listed_at_their_size(family):
+    from treecensus import descriptor
+
+    unit = descriptor(family).size_unit
+    listed = {n: enumerate_trees(family, n) for n in range(1, 8)}
+    by_id = {id(tree): n for n, trees in listed.items() for tree in trees}
+    for n in range(2, 8):
+        for tree in listed[n]:
+            for child in tree:
+                root = census_tree(child)[-1]
+                size = root.subtree_vertices if unit is StatKind.VERTICES else root.subtree_leaves
+                assert by_id.get(id(child)) == size, (family, n, tree_to_text(child))
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_verify_family_counts_every_listed_tree(family, monkeypatch):
+    # a series count no tree count can equal turns each tree count into a mismatch
+    monkeypatch.setattr(oracle, "counting_coefficient", lambda family, n: -1)
+    report = verify_family(family, 8)
+    counted = {m.n: m.expected for m in report.mismatches if m.quantity == "tree count"}
+    assert counted == {n: len(enumerate_trees(family, n)) for n in range(1, 9)}
+    assert counted == {n: len(ref_trees(family, n)) for n in range(1, 9)}
