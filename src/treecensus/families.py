@@ -3,8 +3,18 @@
 Each family carries a counting series and a "multiplier" transfer
 series, both given by integer P-recurrences (the series are algebraic,
 hence D-finite), a functional equation for the counting series, and a
-bivariate refinement tracking vertices and leaves at once.  The census
-series for a subtree statistic factors as
+bivariate refinement tracking vertices and leaves at once.
+
+All four families are simply generated, so the functional equation
+follows from two descriptor fields, the size unit and psi, which counts
+the vertices with two or more children: T = x*(1 + T + psi(T)) when
+vertices are counted, T = x + psi(T) when leaves are, with
+psi(t) = t**2 (Motzkin, full binary) or t**2/(1-t) (ordered,
+Schroeder).  ``fixed_point_solve`` solves that equation online in
+integers, one coefficient a step, and checks the result by applying the
+equation once more in integers, independently of the step rule.
+
+The census series for a subtree statistic factors as
 
     census = (root-statistic GF) * multiplier,
 
@@ -27,7 +37,11 @@ All arithmetic is exact: integers inside, ``Fraction`` and
 ``PowerSeries`` only at the API boundary.  Sequences are cached at
 bucketed truncation orders and sliced down, so repeated queries at
 nearby orders share one computation.  Everything here is pure; caches
-only memoise deterministic values.
+only memoise deterministic values.  A family or statistic may be passed
+as its enum member or as the member's string; ``FamilyId`` and
+``StatKind`` are ``str`` enums, so a cache keys both alike, and every
+function that branches on one converts it to the member first, inside
+the cached body.
 """
 
 from __future__ import annotations
@@ -92,7 +106,12 @@ class FamilyDescriptor(NamedTuple):
 
     ``size_unit`` is what the counting variable x enumerates;
     ``bivariate_y`` is the statistic tracked by y in the bivariate
-    refinement (always the other one).  ``singularity`` is the radius
+    refinement (always the other one).  With ``geometric_psi`` they
+    give the functional equation: T = x*(1 + T + psi(T)) when vertices
+    are counted and T = x + psi(T) when leaves are, where psi counts
+    the vertices with two or more children: psi(t) = t**2/(1-t) (any
+    number from two on) if ``geometric_psi`` is set and t**2 (exactly
+    two) otherwise.  ``singularity`` is the radius
     of convergence of the family's square-root factor and
     ``normalization`` the exact constant K with
     limit probability = (root GF at singularity) * K.  ``counting``
@@ -103,6 +122,7 @@ class FamilyDescriptor(NamedTuple):
     id: FamilyId
     label: str
     size_unit: StatKind
+    geometric_psi: bool
     radicand: int
     singularity: QuadraticNumber
     normalization: QuadraticNumber
@@ -120,6 +140,7 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
         id=FamilyId.MOTZKIN,
         label="Motzkin (unary-binary) trees",
         size_unit=StatKind.VERTICES,
+        geometric_psi=False,
         radicand=2,
         singularity=QuadraticNumber(Fraction(1, 3)),
         normalization=QuadraticNumber(1),
@@ -133,6 +154,7 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
         id=FamilyId.ORDERED,
         label="ordered (plane) trees",
         size_unit=StatKind.VERTICES,
+        geometric_psi=True,
         radicand=2,
         singularity=QuadraticNumber(Fraction(1, 4)),
         normalization=QuadraticNumber(2),
@@ -145,6 +167,7 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
         id=FamilyId.FULL_BINARY,
         label="full binary trees",
         size_unit=StatKind.LEAVES,
+        geometric_psi=False,
         radicand=2,
         singularity=QuadraticNumber(Fraction(1, 4)),
         normalization=QuadraticNumber(2),
@@ -161,6 +184,7 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
         id=FamilyId.SCHROEDER,
         label="Schroeder trees",
         size_unit=StatKind.LEAVES,
+        geometric_psi=True,
         radicand=2,
         singularity=QuadraticNumber(3, -2, 2),
         normalization=QuadraticNumber(2, 1, 2),
@@ -174,7 +198,7 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
 
 
 def descriptor(family: FamilyId) -> FamilyDescriptor:
-    return FAMILIES[family]
+    return FAMILIES[FamilyId(family)]
 
 
 # -- truncation buckets --------------------------------------------------------
@@ -254,54 +278,76 @@ def counting_coefficient(family: FamilyId, n: int) -> int:
 
 
 def _phi(family: FamilyId, s: PowerSeries, order: int) -> PowerSeries:
-    x = PowerSeries.monomial(1, 1, order)
-    if family is FamilyId.MOTZKIN:
-        body = PowerSeries.one(order) + s + s.mul(s, order)
-        return body.shift(1).truncate(order)
-    if family is FamilyId.ORDERED:
-        return x.div(PowerSeries.one(order) - s, order)
-    if family is FamilyId.FULL_BINARY:
-        return x + s.mul(s, order)
-    square = s.mul(s, order)
-    return x + square.div(PowerSeries.one(order) - s, order)
+    """Phi(s) through x**order for a series with integer coefficients.
+
+    psi(s) is a full Cauchy product of s with itself, followed by an
+    exact integer division by 1 - s where psi has that factor; nothing
+    here shares code or running arrays with the solver's step rule.
+    """
+    desc = descriptor(family)
+    vertex_counted = desc.size_unit is StatKind.VERTICES
+    coefficients = s.coefficients[: order + 1]
+    if any(c.denominator != 1 for c in coefficients):
+        raise SolverError("Phi(s) needs s with integer coefficients")
+    a = [c.numerator for c in coefficients]
+    if desc.geometric_psi and a[0]:
+        raise SolverError("psi(s) = s**2/(1-s) needs s with zero constant term")
+    top = order - 1 if vertex_counted else order
+    psi = [sum(map(_times, a[: k + 1], a[k::-1])) for k in range(top + 1)]
+    if desc.geometric_psi:
+        # u = s**2/(1-s) solves u = s**2 + s*u; a[0] = 0 makes each step exact
+        for k in range(1, top + 1):
+            psi[k] += sum(map(_times, a[1 : k + 1], psi[k - 1 :: -1]))
+    if vertex_counted:  # x*(1 + s + psi(s))
+        return PowerSeries([0, 1 + a[0] + psi[0], *map(_plus, a[1:order], psi[1:])])
+    psi[1] += 1  # x + psi(s)
+    return PowerSeries(psi)
 
 
 @lru_cache(maxsize=None)
 def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
     """Solve the family's functional equation s = Phi(s) online.
 
-    Coefficient m of Phi(s) depends only on s_1..s_(m-1), so step m
-    pins s_m from the lower coefficients.  Running integer arrays for
-    s**2 and 1/(1-s) keep each step linear, and the whole solve is
-    O(order**2) integer work.  A final full application of Phi in
-    series arithmetic, independent of the step rule, must reproduce
-    the result exactly, otherwise the equation was mis-encoded and
-    ``SolverError`` is raised.  Returns the unique solution with zero
-    constant term.
+    A vertex-counted family has Phi(s) = x*(1 + s + psi(s)), a
+    leaf-counted one Phi(s) = x + psi(s), with psi(t) = t**2 or
+    t**2/(1-t) as the descriptor's ``geometric_psi`` says.  Coefficient
+    m of Phi(s) depends only on s_1..s_(m-1), so step m pins s_m from
+    the lower coefficients, with one running integer array for what
+    psi needs: psi(s) = s**2, its symmetric sum taken once, or
+    psi(s) = s**2/(1-s) = s*(s + psi(s)), one convolution against the
+    running s + psi(s).  The whole solve is O(order**2) integer work.
+    ``_phi`` then applies Phi once more, from the result's coefficients
+    and independently of the step rule, and must reproduce every
+    coefficient 0..order exactly, otherwise the equation was
+    mis-encoded and ``SolverError`` is raised.  Returns the unique
+    solution with zero constant term.
     """
     if order < 1:
         raise DomainError("order must be at least 1")
+    desc = descriptor(family)
+    vertex_counted = desc.size_unit is StatKind.VERTICES
+    geometric = desc.geometric_psi
     s = [0]
-    square = [0]  # s**2
-    inverse = [1]  # 1/(1-s) = 1 + s * (1/(1-s))
+    psi = [0]  # psi(s); s_m needs psi_(m-1) when vertex-counted, psi_m otherwise
+    s_plus_psi = []  # when psi(s) = s*(s + psi(s))
     for m in range(1, order + 1):
-        square.append(sum(map(_times, s[1:m], s[m - 1 : 0 : -1])))
-        x_term = 1 if m == 1 else 0
-        if family is FamilyId.MOTZKIN:  # s = x*(1 + s + s**2)
-            sm = x_term + s[m - 1] + square[m - 1]
-        elif family is FamilyId.ORDERED:  # s = x/(1-s)
-            sm = inverse[m - 1]
-        elif family is FamilyId.FULL_BINARY:  # s = x + s**2
-            sm = x_term + square[m]
-        else:  # s = x + s**2/(1-s)
-            sm = x_term + sum(map(_times, square[2 : m + 1], inverse[m - 2 :: -1]))
-        s.append(sm)
-        inverse.append(sum(map(_times, s[1 : m + 1], inverse[::-1])))
+        j = m - 1 if vertex_counted else m
+        if j == len(psi):
+            if geometric:
+                s_plus_psi.append(s[j - 1] + psi[j - 1])
+                pj = sum(map(_times, s[1:j], s_plus_psi[j - 1 : 0 : -1]))
+            else:  # the pairs (i, j - i) with i < j/2 twice, the middle once
+                pj = 2 * sum(map(_times, s[1 : (j + 1) // 2], s[j - 1 : j // 2 : -1]))
+                if j % 2 == 0:
+                    pj += s[j // 2] ** 2
+            psi.append(pj)
+        sm = psi[j] + (s[m - 1] if vertex_counted else 0)
+        s.append(sm + 1 if m == 1 else sm)
     result = PowerSeries(s)
-    if _phi(family, result, order) != result:
-        raise SolverError(f"fixed point for {family} did not stabilise at order {order}")
+    if _phi(desc.id, result, order) != result:
+        raise SolverError(f"fixed point for {desc.id} did not stabilise at order {order}")
     if result.coefficient(0) != 0:
-        raise SolverError(f"fixed point for {family} has nonzero constant term")
+        raise SolverError(f"fixed point for {desc.id} has nonzero constant term")
     return result
 
 
@@ -322,6 +368,7 @@ def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> Bivaria
     The y-polynomials are integer lists; ``BivariateSeries`` converts
     them to ``Fraction`` once.
     """
+    family = FamilyId(family)
     ny = order_y
     y = [0, 1][: ny + 1]
 
@@ -435,6 +482,7 @@ def root_stat_gf(family: FamilyId, stat: StatKind, k: int) -> RationalFunction:
 
     ``bivariate_series`` with ``fit_rational`` rederives these in the tests.
     """
+    family, stat = FamilyId(family), StatKind(stat)
     if k < 1:
         raise DomainError("statistic value k must be at least 1")
     desc = descriptor(family)
@@ -536,6 +584,7 @@ def total_vertices(family: FamilyId, n: int) -> int:
     The censuses over all k sum to the counting series times the
     multiplier, so the general total is [x^n] of that product.
     """
+    family = FamilyId(family)
     if n < 1:
         raise DomainError(f"no {family.value} trees of size {n}")
     desc = descriptor(family)
@@ -556,7 +605,7 @@ def total_leaves(family: FamilyId, n: int) -> int:
     one vertex, so the total is that census coefficient.
     """
     if n < 1:
-        raise DomainError(f"no {family.value} trees of size {n}")
+        raise DomainError(f"no {FamilyId(family).value} trees of size {n}")
     if descriptor(family).size_unit is StatKind.LEAVES:
         return n * counting_coefficient(family, n)
     return census_coefficient(family, StatKind.VERTICES, 1, n)
@@ -566,7 +615,7 @@ def finite_probability(family: FamilyId, stat: StatKind, k: int, n: int) -> Frac
     """Exact probability that a uniform vertex of a uniform size-n tree
     has subtree statistic k: census coefficient over the vertex total."""
     if n < 1:
-        raise DomainError(f"no {family.value} trees of size {n}")
+        raise DomainError(f"no {FamilyId(family).value} trees of size {n}")
     if k < 1:
         raise DomainError("statistic value k must be at least 1")
     return Fraction(census_coefficient(family, stat, k, n), total_vertices(family, n))
@@ -574,6 +623,7 @@ def finite_probability(family: FamilyId, stat: StatKind, k: int, n: int) -> Frac
 
 def max_stat_value(family: FamilyId, stat: StatKind, n: int) -> int:
     """Largest achievable statistic value on trees of size n."""
+    family, stat = FamilyId(family), StatKind(stat)
     if n < 1:
         raise DomainError(f"no {family.value} trees of size {n}")
     leaf_counted = descriptor(family).size_unit is StatKind.LEAVES
@@ -609,6 +659,7 @@ class CensusTable(NamedTuple):
 
 def census_table_from_series(family: FamilyId, stat: StatKind, n_max: int) -> CensusTable:
     """Tabulate census series coefficients for all n <= n_max."""
+    family, stat = FamilyId(family), StatKind(stat)
     entries: "dict[tuple[int, int], int]" = {}
     top = max(max_stat_value(family, stat, n_max), 1)
     for k in range(1, top + 1):

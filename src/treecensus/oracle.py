@@ -62,6 +62,7 @@ def enumerate_trees(family: FamilyId, n: int, ceiling: "int | None" = None) -> "
     output order is deterministic.  Sizes above the budget are refused.
     Each child of a listed tree is the object listed for its own size.
     """
+    family = FamilyId(family)
     _check_size(family, n, ceiling)
     table = _table(family)
     level = table.level(n)
@@ -224,6 +225,7 @@ _held: "_Table | None" = None
 
 def _table(family: FamilyId) -> _Table:
     global _held
+    family = FamilyId(family)
     if _held is None or _held.family is not family:
         _held = _Table(family)
     return _held
@@ -265,6 +267,7 @@ def _aggregate(family: FamilyId, n: int) -> "dict[StatKind, CensusTable]":
 
 def aggregate_census(family: FamilyId, n: int, stat: StatKind, ceiling: "int | None" = None) -> CensusTable:
     """Brute-force vertex counts by statistic value over all size-n trees."""
+    family, stat = FamilyId(family), StatKind(stat)
     _check_size(family, n, ceiling)
     return _aggregate(family, n)[stat]
 
@@ -294,6 +297,7 @@ def verify_family(family: FamilyId, n_max: "int | None" = None) -> VerificationR
     """Compare every census coefficient, tree count and total against
     brute force for all sizes up to n_max.  Mismatches are collected in
     the report rather than raised."""
+    family = FamilyId(family)
     n_max = DEFAULT_BUDGETS[family] if n_max is None else n_max
     if n_max > DEFAULT_BUDGETS[family]:
         raise BudgetError(

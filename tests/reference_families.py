@@ -1,10 +1,12 @@
-"""Closed-form counting series, multipliers and vertex totals.
+"""Closed-form counting series, multipliers, vertex totals and Phi.
 
 The package computes the counting and multiplier coefficients from
 integer P-recurrences.  These functions derive the same series from the
 algebraic closed forms with ``PowerSeries`` sqrt and div, as the
 tests' reference.  Each radicand's square root is taken once per order
-and shared by the counting series and the multiplier.
+and shared by the counting series and the multiplier.  ``ref_phi``
+writes out each family's functional equation in ``PowerSeries``
+arithmetic, as the reference for the package's psi-driven ``_phi``.
 """
 
 from fractions import Fraction
@@ -56,3 +58,17 @@ def ref_multiplier(family: FamilyId, order: int) -> PowerSeries:
 def ref_vertex_totals(family: FamilyId, order: int) -> PowerSeries:
     """Counting series times multiplier: [x^n] is the vertex total at size n."""
     return ref_counting(family, order).mul(ref_multiplier(family, order), order)
+
+
+def ref_phi(family: FamilyId, s: PowerSeries, order: int) -> PowerSeries:
+    """The right-hand side Phi(s) of the family's functional equation s = Phi(s)."""
+    x = PowerSeries.monomial(1, 1, order)
+    if family is FamilyId.MOTZKIN:  # x*(1 + s + s^2)
+        body = PowerSeries.one(order) + s + s.mul(s, order)
+        return body.shift(1).truncate(order)
+    if family is FamilyId.ORDERED:  # x/(1 - s)
+        return x.div(PowerSeries.one(order) - s, order)
+    if family is FamilyId.FULL_BINARY:  # x + s^2
+        return x + s.mul(s, order)
+    square = s.mul(s, order)  # Schroeder: x + s^2/(1 - s)
+    return x + square.div(PowerSeries.one(order) - s, order)

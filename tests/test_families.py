@@ -4,12 +4,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from reference_families import ref_counting, ref_multiplier, ref_vertex_totals
+from reference_families import ref_counting, ref_multiplier, ref_phi, ref_vertex_totals
 
 from treecensus import (
+    FAMILIES,
     DomainError,
     FamilyId,
     PowerSeries,
+    QuadraticNumber,
     RationalFunction,
     SolverError,
     StatKind,
@@ -80,6 +82,56 @@ def test_fixed_point_raises_when_phi_disagrees_with_online_rule(family, monkeypa
     fixed_point_solve.cache_clear()
     with pytest.raises(SolverError, match="did not stabilise"):
         fixed_point_solve(family, 9)
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_fixed_point_matches_counting_series_at_every_order(family):
+    # spans the orders the benchmark solves (48-82) and the parity of every
+    # middle square term
+    fixed_point_solve.cache_clear()
+    for order in range(1, 101):
+        assert fixed_point_solve(family, order) == counting_series(family, order), order
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_phi_matches_reference_equation(family):
+    order = 40
+    counting = counting_series(family, order)
+    perturbed = counting + PowerSeries.monomial(1, 5, order)
+    for s in (counting, perturbed):
+        assert families._phi(family, s, order) == ref_phi(family, s, order)
+    assert families._phi(family, perturbed, order) != perturbed
+
+
+def test_phi_rejects_series_outside_its_integer_domain():
+    with pytest.raises(SolverError, match="integer coefficients"):
+        families._phi(FamilyId.MOTZKIN, PowerSeries([0, 1, Fraction(1, 2)]), 2)
+    with pytest.raises(SolverError, match="zero constant term"):
+        families._phi(FamilyId.SCHROEDER, PowerSeries([1, 1, 1]), 2)
+
+
+def _psi(desc, t):
+    """psi(t) and psi'(t): t**2 and 2t, or t**2/(1-t) and (2t - t**2)/(1-t)**2."""
+    if desc.geometric_psi:
+        return t * t / (1 - t), (2 * t - t * t) / ((1 - t) * (1 - t))
+    return t * t, 2 * t
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_psi_gives_singularity_and_normalization(family):
+    # tau = T(rho) = 1/K; tau is where the equation's branch point sits
+    desc = FAMILIES[family]
+    tau = 1 / desc.normalization
+    psi, dpsi = _psi(desc, tau)
+    if desc.size_unit is StatKind.VERTICES:  # T = x*phi(T), phi = 1 + t + psi
+        phi = 1 + tau + psi
+        assert tau * (1 + dpsi) == phi
+        rho = tau / phi
+    else:  # T = x + psi(T)
+        assert dpsi == 1
+        rho = tau - psi
+    assert isinstance(rho, QuadraticNumber)
+    assert rho == desc.singularity
 
 
 def test_census_coefficient_rejects_non_integral_root_expansion(monkeypatch):

@@ -1,0 +1,105 @@
+"""Family and statistic names passed as plain strings.
+
+``FamilyId`` and ``StatKind`` are ``str`` enums, so a cache keyed on
+them treats ``"motzkin"`` and ``FamilyId.MOTZKIN`` as one key.  Every
+function that branches on a family or a statistic must therefore give a
+string the member's value, or a string call would both answer wrongly
+and hand its answer to later enum calls.
+"""
+
+import pytest
+
+from treecensus import (
+    FamilyId,
+    StatKind,
+    aggregate_census,
+    bivariate_series,
+    census_coefficient,
+    census_series,
+    census_table_from_series,
+    descriptor,
+    enumerate_trees,
+    finite_probability,
+    fixed_point_solve,
+    limit_probability,
+    max_stat_value,
+    root_stat_gf,
+    tightness_report,
+    total_leaves,
+    total_vertices,
+    verify_family,
+)
+from treecensus import families, oracle
+
+# Each public call that reaches a branch on a family or a statistic; the
+# second element says whether it takes a statistic.
+CALLS = {
+    "root_stat_gf": (lambda f, s: root_stat_gf(f, s, 3), True),
+    "limit_probability": (lambda f, s: limit_probability(f, s, 3).exact_value, True),
+    "tightness_report": (lambda f, s: tightness_report(f, s, 4).partial_sum, True),
+    "fixed_point_solve": (lambda f, s: fixed_point_solve(f, 12), False),
+    "max_stat_value": (lambda f, s: max_stat_value(f, s, 5), True),
+    "total_vertices": (lambda f, s: total_vertices(f, 6), False),
+    "total_leaves": (lambda f, s: total_leaves(f, 6), False),
+    "bivariate_series": (lambda f, s: bivariate_series(f, 8, 8), False),
+    "census_series": (lambda f, s: census_series(f, s, 2, 12), True),
+    "census_coefficient": (lambda f, s: census_coefficient(f, s, 2, 9), True),
+    "finite_probability": (lambda f, s: finite_probability(f, s, 2, 9), True),
+    "census_table_from_series": (lambda f, s: census_table_from_series(f, s, 6), True),
+    "enumerate_trees": (lambda f, s: enumerate_trees(f, 5), False),
+    "aggregate_census": (lambda f, s: aggregate_census(f, 5, s), True),
+    "verify_family": (lambda f, s: verify_family(f, 5), False),
+}
+
+
+def _clear_caches(monkeypatch):
+    for cached in (
+        families.root_stat_gf,
+        families.fixed_point_solve,
+        families._bivariate_bucketed,
+        families._root_expansion,
+        families._counting_integers,
+        families._multiplier_integers,
+        oracle._aggregate,
+    ):
+        cached.cache_clear()
+    monkeypatch.setattr(oracle, "_held", None)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_string_names_give_the_enum_values(name, monkeypatch):
+    call, takes_stat = CALLS[name]
+    for family in FamilyId:
+        for stat in list(StatKind) if takes_stat else [StatKind.VERTICES]:
+            _clear_caches(monkeypatch)
+            expected = call(family, stat)
+            _clear_caches(monkeypatch)
+            assert call(family.value, stat.value) == expected, (family, stat)
+            assert call(family.value, stat) == expected, (family, stat)
+            assert call(family, stat.value) == expected, (family, stat)
+            assert call(family, stat) == expected, (family, stat)
+
+
+def test_records_carry_the_members():
+    table = census_table_from_series("motzkin", "leaves", 4)
+    assert table.family is FamilyId.MOTZKIN and table.stat is StatKind.LEAVES
+    assert aggregate_census("ordered", 4, "vertices").family is FamilyId.ORDERED
+    assert verify_family("fullbinary", 3).family is FamilyId.FULL_BINARY
+
+
+UNKNOWN_NAMES = {
+    "descriptor": lambda: descriptor("binary"),
+    "fixed_point_solve": lambda: fixed_point_solve("binary", 5),
+    "root_stat_gf": lambda: root_stat_gf("motzkin", "edges", 2),
+    "max_stat_value": lambda: max_stat_value("motzkin", "edges", 5),
+    "total_vertices": lambda: total_vertices("binary", 3),
+    "bivariate_series": lambda: bivariate_series("binary", 4, 4),
+    "enumerate_trees": lambda: enumerate_trees("binary", 3),
+    "verify_family": lambda: verify_family("binary", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_NAMES))
+def test_unknown_names_raise_value_error(name):
+    with pytest.raises(ValueError, match="is not a valid"):
+        UNKNOWN_NAMES[name]()
