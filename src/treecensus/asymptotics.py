@@ -129,8 +129,8 @@ def limit_probability(
         raise ValueError(f"probability {exact} outside [0, 1]")
     diagnostics = richardson_check(family, stat, k, sizes) if check else None
     return AsymptoticProbability(
-        family=family,
-        stat=stat,
+        family=FamilyId(family),
+        stat=StatKind(stat),
         k=k,
         exact_value=exact,
         method="closed-form",
@@ -223,8 +223,8 @@ def tightness_report(family: FamilyId, stat: StatKind, k_max: int) -> TightnessR
     for t in terms:
         partial = partial + t
     return TightnessReport(
-        family=family,
-        stat=stat,
+        family=FamilyId(family),
+        stat=StatKind(stat),
         k_max=k_max,
         terms=terms,
         partial_sum=partial,

@@ -27,11 +27,12 @@ both.
 Every root-statistic GF is a closed form P(x)/(1-x)**m with integer P:
 a monomial when the statistic is the size unit, and otherwise built
 from Catalan (Motzkin leaves), Narayana (ordered leaves) or
-Kirkman-Cayley (Schroeder vertices) numbers.  Census coefficients are
-integer convolutions of its expansion (m running sums of P) with the
-multiplier.  The bivariate refinement is not on that path; the tests
-fit rational functions to its coefficients as an independent
-derivation of the closed forms.
+Kirkman-Cayley (Schroeder vertices) numbers.  So a census coefficient
+is sum_i P_i * [x^(n-i)] multiplier/(1-x)**m: the second factor is
+cached per (family, m, bucket), and one coefficient costs deg P + 1
+products.  The bivariate refinement is not on that path; the tests fit
+rational functions to its coefficients as an independent derivation
+of the closed forms.
 
 All arithmetic is exact: integers inside, ``Fraction`` and
 ``PowerSeries`` only at the API boundary.  Sequences are cached at
@@ -354,11 +355,6 @@ def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
 # -- bivariate refinement ----------------------------------------------------------
 
 
-def _yp_shift(poly: "list[int]", ny: int) -> "list[int]":
-    """Multiply a y-polynomial by y, truncating at ny."""
-    return ([0] + poly)[: ny + 1]
-
-
 @lru_cache(maxsize=None)
 def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> BivariateSeries:
     """x-adic fixed-point solution of the bivariate functional equation.
@@ -411,7 +407,7 @@ def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> Bivaria
             acc: "list[int]" = []
             for a in range(1, n):
                 acc = padd(acc, prod(b[a], b[n - a]))
-            acc = _yp_shift(acc, ny)
+            acc = ([0] + acc)[: ny + 1]  # times y
             if n == 1:
                 acc = padd(acc, y)
             b.append(acc)
@@ -427,7 +423,7 @@ def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> Bivaria
         for a in range(1, n - 1):
             wn = padd(wn, prod(r[a], w[n - a]))
         w.append(wn)
-        rn = _yp_shift(wn, ny)
+        rn = ([0] + wn)[: ny + 1]  # times y
         if n == 1:
             rn = padd(rn, y)
         r.append(rn)
@@ -525,24 +521,30 @@ def _kirkman_cayley(k: int) -> "list[int]":
 # -- census series ----------------------------------------------------------------
 
 
-def _root_parts(family: FamilyId, stat: StatKind, k: int) -> "tuple[list[int], int]":
+@lru_cache(maxsize=None)
+def _root_parts(family: FamilyId, stat: StatKind, k: int) -> "tuple[tuple[int, ...], int]":
     """Integer numerator P and exponent m with root GF = P / (1-x)**m."""
     root = root_stat_gf(family, stat, k)
     m = root.one_minus_x_exponent()
     if m is None:
         raise SolverError(f"root expansion of {root} needs a power of (1-x) as denominator")
-    numerator = []
     for value in root.numerator:
         if value.denominator != 1:
             raise SolverError(f"non-integer root expansion coefficient {value}")
-        numerator.append(value.numerator)
-    return numerator, m
+    return tuple(value.numerator for value in root.numerator), m
 
 
-def _running_sums(values: "list[int]", m: int) -> "list[int]":
-    """Coefficients of the series times 1/(1-x)**m."""
+def _summed_multiplier(family: FamilyId, m: int, bucket: int) -> "tuple[int, ...]":
+    """Coefficients 0..bucket of multiplier / (1-x)**m, by m running-sum
+    passes; m = 0 is the multiplier's own cached tuple."""
+    return _multiplier_sums(family, m, bucket) if m else _multiplier_integers(family, bucket)
+
+
+@lru_cache(maxsize=None)
+def _multiplier_sums(family: FamilyId, m: int, bucket: int) -> "tuple[int, ...]":
+    values = _multiplier_integers(family, bucket)
     for _ in range(m):
-        values = list(accumulate(values))
+        values = tuple(accumulate(values))
     return values
 
 
@@ -552,27 +554,20 @@ def census_series(family: FamilyId, stat: StatKind, k: int, order: int) -> Power
     if order < 1:
         raise DomainError("order must be at least 1")
     numerator, m = _root_parts(family, stat, k)
-    mult = _multiplier_integers(family, _series_bucket(order))
-    return PowerSeries(_running_sums(_product(numerator, mult, order + 1), m))
-
-
-@lru_cache(maxsize=None)
-def _root_expansion(family: FamilyId, stat: StatKind, k: int, order: int) -> "tuple[int, ...]":
-    numerator, m = _root_parts(family, stat, k)
-    head = numerator[: order + 1]
-    return tuple(_running_sums(head + [0] * (order + 1 - len(head)), m))
+    summed = _summed_multiplier(family, m, _series_bucket(order))
+    return PowerSeries(_product(numerator, summed, order + 1))
 
 
 def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
-    """Single census coefficient, via one integer convolution against the multiplier."""
+    """Single census coefficient: the root numerator P against the
+    cached multiplier / (1-x)**m, deg P + 1 products."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     if k < 1:
         raise DomainError("statistic value k must be at least 1")
-    bucket = _series_bucket(max(n, 1))
-    root = _root_expansion(family, stat, k, bucket)
-    mult = _multiplier_integers(family, bucket)
-    return sum(map(_times, root[: n + 1], mult[n::-1]))
+    numerator, m = _root_parts(family, stat, k)
+    summed = _summed_multiplier(family, m, _series_bucket(max(n, 1)))
+    return sum(map(_times, numerator[: n + 1], summed[n::-1]))
 
 
 # -- totals and probabilities -------------------------------------------------------
@@ -581,20 +576,22 @@ def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
 def total_vertices(family: FamilyId, n: int) -> int:
     """Total number of vertices over all trees of size n.
 
-    The censuses over all k sum to the counting series times the
-    multiplier, so the general total is [x^n] of that product.
+    n per tree when vertices are counted.  Otherwise V = T*T' = (T**2)'/2
+    with M = T', and T = x + psi(T) gives T**2 = T - x (psi = t**2), so
+    V_n = m_n/2, or 2*T**2 = (1+x)*T - x, so V_n = (m_n + (n+1)*t_n)/4.
     """
-    family = FamilyId(family)
     if n < 1:
-        raise DomainError(f"no {family.value} trees of size {n}")
+        raise DomainError(f"no {FamilyId(family).value} trees of size {n}")
     desc = descriptor(family)
-    if desc.size_unit is StatKind.VERTICES:
-        return n * counting_coefficient(family, n)
-    if family is FamilyId.FULL_BINARY:
-        return (2 * n - 1) * counting_coefficient(family, n)
     bucket = _series_bucket(n)
-    counts = _counting_integers(family, bucket)
-    return sum(map(_times, counts[: n + 1], _multiplier_integers(family, bucket)[n::-1]))
+    count = _counting_integers(family, bucket)[n]
+    if desc.size_unit is StatKind.VERTICES:
+        return n * count
+    mult = _multiplier_integers(family, bucket)[n]
+    total, remainder = divmod(mult + (n + 1) * count, 4) if desc.geometric_psi else divmod(mult, 2)
+    if remainder:
+        raise SolverError(f"non-integer vertex total for {desc.id.value} at n = {n}")
+    return total
 
 
 def total_leaves(family: FamilyId, n: int) -> int:
@@ -622,18 +619,21 @@ def finite_probability(family: FamilyId, stat: StatKind, k: int, n: int) -> Frac
 
 
 def max_stat_value(family: FamilyId, stat: StatKind, n: int) -> int:
-    """Largest achievable statistic value on trees of size n."""
+    """Largest achievable statistic value on trees of size n.
+
+    A vertex-counted tree with n vertices has at most (n+1)//2 leaves
+    when psi = t**2, and n-1 (a root with n-1 leaf children) otherwise.
+    """
     family, stat = FamilyId(family), StatKind(stat)
     if n < 1:
         raise DomainError(f"no {family.value} trees of size {n}")
-    leaf_counted = descriptor(family).size_unit is StatKind.LEAVES
+    desc = descriptor(family)
+    leaf_counted = desc.size_unit is StatKind.LEAVES
     if stat is StatKind.VERTICES:
         return 2 * n - 1 if leaf_counted else n
     if leaf_counted:
         return n
-    if family is FamilyId.MOTZKIN:
-        return (n + 1) // 2
-    return max(1, n - 1)
+    return max(1, n - 1) if desc.geometric_psi else (n + 1) // 2
 
 
 # -- census tables ----------------------------------------------------------------

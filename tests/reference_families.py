@@ -7,12 +7,20 @@ tests' reference.  Each radicand's square root is taken once per order
 and shared by the counting series and the multiplier.  ``ref_phi``
 writes out each family's functional equation in ``PowerSeries``
 arithmetic, as the reference for the package's psi-driven ``_phi``.
+``ref_census_coefficient`` and ``ref_total_vertices`` are one O(n)
+integer convolution each, against the multiplier: the root GF's
+expansion (m running sums of its numerator), and the counting series.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
-from treecensus import FamilyId, PowerSeries
+from treecensus import FamilyId, PowerSeries, counting_series, multiplier_gf, root_stat_gf
+
+# The highest order the convolution references reach.
+REF_ORDER = 1280
 
 RADICANDS = {
     FamilyId.MOTZKIN: (1, -2, -3),
@@ -72,3 +80,33 @@ def ref_phi(family: FamilyId, s: PowerSeries, order: int) -> PowerSeries:
         return x + s.mul(s, order)
     square = s.mul(s, order)  # Schroeder: x + s^2/(1 - s)
     return x + square.div(PowerSeries.one(order) - s, order)
+
+
+@lru_cache(maxsize=None)
+def _integers(series, family: FamilyId) -> "tuple[int, ...]":
+    return tuple(int(c) for c in series(family, REF_ORDER).coefficients)
+
+
+def ref_root_expansion(family: FamilyId, stat, k: int, order: int) -> "list[int]":
+    """Coefficients 0..order of the root GF P/(1-x)**m: m running sums of P."""
+    root = root_stat_gf(family, stat, k)
+    values = [int(c) for c in root.numerator[: order + 1]]
+    values += [0] * (order + 1 - len(values))
+    for _ in range(root.one_minus_x_exponent()):
+        values = list(accumulate(values))
+    return values
+
+
+def ref_census_coefficient(family: FamilyId, stat, k: int, n: int) -> int:
+    """[x^n] of the root GF's expansion times the multiplier."""
+    assert n <= REF_ORDER
+    mult = _integers(multiplier_gf, FamilyId(family))
+    return sum(map(mul, ref_root_expansion(family, stat, k, n), mult[n::-1]))
+
+
+def ref_total_vertices(family: FamilyId, n: int) -> int:
+    """[x^n] of the counting series times the multiplier."""
+    assert n <= REF_ORDER
+    counts = _integers(counting_series, FamilyId(family))
+    mult = _integers(multiplier_gf, FamilyId(family))
+    return sum(map(mul, counts[: n + 1], mult[n::-1]))

@@ -4,7 +4,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from reference_families import ref_counting, ref_multiplier, ref_phi, ref_vertex_totals
+from reference_families import (
+    ref_census_coefficient,
+    ref_counting,
+    ref_multiplier,
+    ref_phi,
+    ref_total_vertices,
+    ref_vertex_totals,
+)
 
 from treecensus import (
     FAMILIES,
@@ -15,6 +22,7 @@ from treecensus import (
     RationalFunction,
     SolverError,
     StatKind,
+    aggregate_census,
     bivariate_series,
     census_coefficient,
     census_series,
@@ -32,6 +40,7 @@ from treecensus import (
     total_vertices,
 )
 from treecensus.families import Recurrence
+from treecensus.oracle import DEFAULT_BUDGETS
 from treecensus.ratfunc import FIT_MARGIN
 
 COUNTS = {
@@ -138,7 +147,7 @@ def test_census_coefficient_rejects_non_integral_root_expansion(monkeypatch):
     monkeypatch.setattr(
         families, "root_stat_gf", lambda family, stat, k: RationalFunction([0, Fraction(1, 2)])
     )
-    families._root_expansion.cache_clear()
+    families._root_parts.cache_clear()
     with pytest.raises(SolverError, match="root expansion"):
         census_coefficient(FamilyId.MOTZKIN, StatKind.VERTICES, 1, 3)
 
@@ -281,6 +290,15 @@ def test_max_stat_value():
     assert max_stat_value(FamilyId.ORDERED, StatKind.VERTICES, 12) == 12
 
 
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_max_stat_value_is_the_largest_enumerated_value(family):
+    for stat in StatKind:
+        for n in range(1, DEFAULT_BUDGETS[family] + 1):
+            entries = aggregate_census(family, n, stat).entries
+            largest = max(k for (_, k), count in entries.items() if count)
+            assert max_stat_value(family, stat, n) == largest, (stat, n)
+
+
 def test_census_table_partition():
     for family in FamilyId:
         for stat in StatKind:
@@ -346,7 +364,7 @@ def test_root_gf_and_leaf_totals_bypass_the_fit(monkeypatch):
     monkeypatch.setattr(families, "bivariate_series", refuse)
     assert not hasattr(families, "fit_rational")
     root_stat_gf.cache_clear()
-    families._root_expansion.cache_clear()
+    families._root_parts.cache_clear()
     for family in FamilyId:
         for stat in StatKind:
             for k in range(1, 41):
@@ -410,6 +428,41 @@ def test_census_series_equals_root_expansion_times_multiplier(family, stat):
         assert census_series(family, stat, k, order) == expected, k
 
 
+# bucket edges (64, 640) and the first order-1280 bucket
+_REFERENCE_SIZES = (0, 1, 2, 63, 64, 65, 300, 639, 640, 641, 700)
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+@pytest.mark.parametrize("stat", list(StatKind))
+def test_census_coefficient_matches_convolution_reference(family, stat):
+    for k in range(1, 9):
+        for n in _REFERENCE_SIZES:
+            expected = ref_census_coefficient(family, stat, k, n)
+            assert census_coefficient(family, stat, k, n) == expected, (k, n)
+
+
+def test_census_coefficient_after_a_thousand_running_sums():
+    # root GF Cat(519) * x**1039 / (1-x)**1039
+    family, stat, k, n = FamilyId.MOTZKIN, StatKind.LEAVES, 520, 1100
+    assert root_stat_gf(family, stat, k).one_minus_x_exponent() == 1039
+    expected = ref_census_coefficient(family, stat, k, n)
+    assert expected and census_coefficient(family, stat, k, n) == expected
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_total_vertices_is_counting_times_multiplier(family):
+    for n in range(1, 701):
+        assert total_vertices(family, n) == ref_total_vertices(family, n), n
+
+
+@pytest.mark.parametrize("family", [FamilyId.FULL_BINARY, FamilyId.SCHROEDER])
+def test_total_vertices_rejects_an_inexact_division(family, monkeypatch):
+    # an all-ones multiplier leaves a remainder at n = 1: 1/2 and (1 + 2)/4
+    monkeypatch.setattr(families, "_multiplier_integers", lambda family, order: (1,) * (order + 1))
+    with pytest.raises(SolverError, match="non-integer vertex total"):
+        total_vertices(family, 1)
+
+
 def test_families_never_take_a_square_root(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("PowerSeries.sqrt reached from families")
@@ -417,7 +470,7 @@ def test_families_never_take_a_square_root(monkeypatch):
     monkeypatch.setattr(PowerSeries, "sqrt", refuse)
     families._counting_integers.cache_clear()
     families._multiplier_integers.cache_clear()
-    families._root_expansion.cache_clear()
+    families._multiplier_sums.cache_clear()
     for family in FamilyId:
         counting_series(family, PIN_ORDER)
         multiplier_gf(family, PIN_ORDER)

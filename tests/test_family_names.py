@@ -57,7 +57,8 @@ def _clear_caches(monkeypatch):
         families.root_stat_gf,
         families.fixed_point_solve,
         families._bivariate_bucketed,
-        families._root_expansion,
+        families._root_parts,
+        families._multiplier_sums,
         families._counting_integers,
         families._multiplier_integers,
         oracle._aggregate,
@@ -85,6 +86,10 @@ def test_records_carry_the_members():
     assert table.family is FamilyId.MOTZKIN and table.stat is StatKind.LEAVES
     assert aggregate_census("ordered", 4, "vertices").family is FamilyId.ORDERED
     assert verify_family("fullbinary", 3).family is FamilyId.FULL_BINARY
+    limit = limit_probability("motzkin", "leaves", 3)
+    assert limit.family is FamilyId.MOTZKIN and limit.stat is StatKind.LEAVES
+    report = tightness_report("ordered", "leaves", 2)
+    assert report.family is FamilyId.ORDERED and report.stat is StatKind.LEAVES
 
 
 UNKNOWN_NAMES = {
