@@ -3,26 +3,29 @@
 This is the ground truth the series engine is checked against: every
 tree of a family up to a size budget is generated explicitly, and the
 resulting counts must match the generating-function coefficients
-exactly.  The enumeration builds one index table per family.  Each tree
-is the tuple of its children's indices into the table; the trees of
-each size form a range of indices, sizes ascending, so every child
-lies below its parent; and each tree's vertex and leaf counts are
-stored once, from its children's, when it is built.  The census of
-size n gives each size-n tree multiplicity 1 and walks the indices
-downwards, adding each tree's multiplicity to its two counts and to
-each of its child occurrences, instead of walking every vertex of
-every tree (``census_tree`` keeps the per-vertex walk as the
-reference).  The nested-tuple trees of ``enumerate_trees`` (a tree is
-the tuple of its child trees, a leaf the empty tuple) are a view built
-from the same table, in the same order, one object per subtree.  One
-family's table is held at a time.  Nothing here touches the series
-machinery except inside ``verify_family``, which performs the
-comparison.
+exactly.  Each family is a root over d trees, d in its set of child
+counts, so the trees of one size (a level, as are the forests of one
+length and total size) are a concatenation of segments: a level's trees
+as forests of one, or the row-major product block of a level's trees,
+each followed by each forest of another.  A level stores only its
+elements' vertex and leaf counts, as bytes built as outer sums.  The
+census of size n gives each size-n tree multiplicity 1 and walks the
+levels downwards: a tree level adds its multiplicities to the histograms
+of its counts, and a block passes its row sums to its first trees and
+its column sums to the forests after them, instead of walking every
+vertex of every tree (``census_tree`` keeps that walk as the reference).
+The nested-tuple trees of ``enumerate_trees`` (a tree is the tuple of
+its child trees, a leaf the empty tuple) are a view rebuilt from the
+segments, in the same order, one object per subtree.  One family's
+table is held at a time.  Nothing here touches the series machinery
+except inside ``verify_family``, which performs the comparison.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
+from operator import add
 from typing import NamedTuple
 
 from .families import (
@@ -65,11 +68,7 @@ def enumerate_trees(family: FamilyId, n: int, ceiling: "int | None" = None) -> "
     family = FamilyId(family)
     _check_size(family, n, ceiling)
     table = _table(family)
-    level = table.level(n)
-    nested, children = table.nested, table.children
-    for index in range(len(nested), level.stop):
-        nested.append(tuple([nested[child] for child in children[index]]))
-    return tuple(nested[level.start : level.stop])
+    return tuple(table.view(table.level(n)))
 
 
 def _check_size(family: FamilyId, n: int, ceiling: "int | None") -> None:
@@ -82,139 +81,158 @@ def _check_size(family: FamilyId, n: int, ceiling: "int | None") -> None:
         raise BudgetError(f"no {family.value} trees of size {n}")
 
 
-# Forests as (child tuples, vertices, leaves): the counts are those of a
-# tree that has each forest as its children.
-_Forests = tuple[list[tuple[int, ...]], bytes, bytes]
+# Each family as data: the size unit, and the child counts an internal
+# vertex may have, listed exactly or (the third entry) as "d and more".
+_CHILD_COUNTS: "dict[FamilyId, tuple[StatKind, tuple[int, ...], int | None]]" = {
+    FamilyId.MOTZKIN: (StatKind.VERTICES, (1, 2), None),
+    FamilyId.ORDERED: (StatKind.VERTICES, (), 1),
+    FamilyId.FULL_BINARY: (StatKind.LEAVES, (2,), None),
+    FamilyId.SCHROEDER: (StatKind.LEAVES, (), 2),
+}
+
+
+class _Level(NamedTuple):
+    """Trees of one size (``tree``), or forests.  Segment ``(None, j)`` is
+    level j's trees as forests of one; ``(i, j)`` is the row-major block of
+    level i's trees, each followed by each of level j's forests.  The
+    counts are the forest's, plus the root vertex in a tree."""
+
+    segments: "tuple[tuple[int | None, int], ...]"
+    vertices: bytes
+    leaves: bytes
+    tree: bool
 
 
 class _Table:
-    """One family's trees up to some size, as tuples of child indices.
-
-    ``children[i]`` lists tree i's children; ``vertices[i]`` and
-    ``leaves[i]`` are its counts.  Levels are built on demand, each in
-    the enumeration's order.  A level's index list, and the forests of a
-    total size, are built only once a larger tree takes them as
-    children, so every reference to a tree is one ``int`` object and
-    the top level's indices need none.  A list of forests comes with the
-    vertex and leaf counts of a tree having each forest as its children.
-    """
+    """One family's trees up to some size, as levels of product blocks:
+    ``levels`` in creation order, each after the levels its segments name;
+    ``trees[n]`` indexes the size-n trees' level; ``views`` as enumerated."""
 
     def __init__(self, family: FamilyId) -> None:
         self.family = family
-        self.children: "list[tuple[int, ...]]" = [()]  # tree 0 is the one-vertex tree
-        self.vertices = bytearray([1])
-        self.leaves = bytearray([1])
-        self.starts = [0, 0, 1]  # level n is range(starts[n], starts[n + 1])
-        self.nested: "list[Tree]" = []  # the enumerate_trees view, by index
-        self._indices: "dict[int, list[int]]" = {}
-        self._singles: "dict[int, _Forests]" = {}
-        self._forests: "dict[int, _Forests]" = {}
+        self.levels = [_Level((), b"\x01", b"\x01", True)]  # the one-vertex tree
+        self.trees: "list[int | None]" = [None, 0]
+        self.views: "dict[int, list[Tree]]" = {0: [()]}
+        self._forest_levels: "dict[tuple[int, bool, int], int]" = {}
 
-    def level(self, n: int) -> range:
-        """Indices of the size-n trees; builds every level up to n."""
-        while len(self.starts) < n + 2:
-            self._build(len(self.starts) - 1)
-        return range(self.starts[n], self.starts[n + 1])
+    def level(self, n: int) -> int:
+        """Index of the size-n trees' level; builds every level up to n."""
+        while len(self.trees) <= n:
+            self._build(len(self.trees))
+        return self.trees[n]
 
     def _build(self, n: int) -> None:
         if n > 128:  # a size-n tree has at most 2n - 1 vertices, and counts are bytes
             raise BudgetError(f"size {n} is beyond what the enumeration can count")
-        family = self.family
-        if family is FamilyId.MOTZKIN:  # one child of size n - 1, or two summing to n - 1
-            built = _concat(self._single(n - 1), self._joined(n - 1, self._single))
-        elif family is FamilyId.ORDERED:
-            built = self._forest(n - 1)
-        elif family is FamilyId.FULL_BINARY:
-            built = self._joined(n, self._single)
-        else:  # Schroeder: at least two children, sizes sum to n (leaves)
-            built = self._joined(n, self._forest)
-        self.children += built[0]
-        self.vertices += built[1]
-        self.leaves += built[2]
-        self.starts.append(len(self.children))
+        unit, exact, at_least = _CHILD_COUNTS[self.family]
+        total = n - 1 if unit is StatKind.VERTICES else n  # the children's sizes together
+        segments = [segment for d in exact for segment in self._segments(d, False, total)]
+        if at_least:
+            segments += self._segments(at_least, True, total)
+        self.trees.append(self._add(segments, tree=True))
+
+    def _segments(self, d: int, more: bool, total: int) -> "list[tuple[int | None, int]]":
+        """Forests of d trees (with ``more``, of d or more) whose sizes sum to ``total``."""
+        if d > 1:
+            return [(self.trees[i], self._forests(d - 1, more, total - i)) for i in range(1, total)]
+        singles = [(None, self.trees[total])]
+        return self._segments(2, True, total) + singles if more else singles
+
+    def _forests(self, d: int, more: bool, total: int) -> int:
+        """Index of the level of ``_segments(d, more, total)``."""
+        if d == 1 and not more:
+            return self.trees[total]
+        if (d, more, total) not in self._forest_levels:
+            self._forest_levels[d, more, total] = self._add(self._segments(d, more, total), tree=False)
+        return self._forest_levels[d, more, total]
+
+    def _add(self, segments: "list[tuple[int | None, int]]", tree: bool) -> int:
+        """Appends the level of these segments, with its counts; returns its index."""
+        levels = self.levels
+        vertices, leaves = (
+            b"".join([levels[j][field] if i is None else _outer(levels[i][field], levels[j][field]) for i, j in segments])
+            for field in (1, 2)
+        )
+        levels.append(_Level(tuple(segments), vertices.translate(_RAISE[1]) if tree else vertices, leaves, tree))
+        return len(levels) - 1
 
     def census(self, n: int) -> "tuple[dict[int, int], dict[int, int]]":
         """Subtree occurrences over the size-n trees, by vertices and by leaves.
 
-        Each size-n tree counts once; walking the indices downwards,
-        every tree adds its multiplicity to its counts and passes it to
-        each child occurrence, so a child repeated within one tree
+        Each size-n tree counts once.  Walking the levels downwards, a
+        tree level adds its multiplicities to its counts' histograms, and
+        a block passes its row sums to its first trees and its column sums
+        to the forests after them, so a child repeated within one tree
         counts as often as it occurs.
         """
         top = self.level(n)
-        children, vertices, leaves = self.children, self.vertices, self.leaves
-        multiplicity = [0] * top.start + [1] * len(top)
-        by_vertices = [0] * 256  # every count is a byte
-        by_leaves = [0] * 256
-        for index in reversed(range(top.stop)):
-            m = multiplicity[index]
-            if m:
-                by_vertices[vertices[index]] += m
-                by_leaves[leaves[index]] += m
-                for child in children[index]:
-                    multiplicity[child] += m
-        return (
-            {k: m for k, m in enumerate(by_vertices) if m},
-            {k: m for k, m in enumerate(by_leaves) if m},
-        )
+        levels = self.levels
+        by_vertices, by_leaves = [0] * 256, [0] * 256  # every count is a byte
+        pending = {top: [1] * len(levels[top].vertices)}
+        for index in range(top, -1, -1):
+            m = pending.pop(index, None)
+            if m is None:
+                continue
+            level = levels[index]
+            if level.tree:
+                for counts, histogram in ((level.vertices, by_vertices), (level.leaves, by_leaves)):
+                    for k in set(counts):  # on the top level every multiplicity is 1
+                        histogram[k] += counts.count(k) if index == top else sum(compress(m, counts.translate(_MASK[k])))
+            start = 0
+            for head, tail in level.segments:
+                w = len(levels[tail].vertices)
+                if head is None:
+                    _pass(pending, tail, m[start : start + w])
+                    start += w
+                    continue
+                h = len(levels[head].vertices)
+                stop = start + h * w
+                if h <= w:  # the shorter loop: over the rows
+                    lines = [m[i : i + w] for i in range(start, stop, w)]
+                    rows, columns = list(map(sum, lines)), list(map(sum, zip(*lines)))
+                else:
+                    lines = [m[i:stop:w] for i in range(start, start + w)]
+                    columns, rows = list(map(sum, lines)), list(map(sum, zip(*lines)))
+                _pass(pending, head, rows)
+                _pass(pending, tail, columns)
+                start = stop
+        return tuple({k: m for k, m in enumerate(histogram) if m} for histogram in (by_vertices, by_leaves))
 
-    def _ids(self, size: int) -> "list[int]":
-        """The size-``size`` indices as one list, whose ``int``s every tuple then shares."""
-        found = self._indices.get(size)
+    def view(self, index: int, forests: bool = False) -> "list[Tree]":
+        """Level ``index``'s elements as nested tuples, in order (with ``forests``,
+        trees as forests of one); each child is the object listed for its size."""
+        if forests and self.levels[index].tree:
+            return [(tree,) for tree in self.view(index)]
+        found = self.views.get(index)
         if found is None:
-            found = self._indices[size] = list(self.level(size))
+            found = self.views[index] = []
+            for head, tail in self.levels[index].segments:
+                rests = self.view(tail, forests=True)
+                found += rests if head is None else [(first, *rest) for first in self.view(head) for rest in rests]
         return found
 
-    def _single(self, size: int) -> _Forests:
-        """Forests of one size-``size`` tree."""
-        found = self._singles.get(size)
-        if found is None:
-            level = self.level(size)
-            found = self._singles[size] = (
-                [(tree,) for tree in self._ids(size)],
-                self.vertices[level.start : level.stop].translate(_RAISE[1]),
-                self.leaves[level.start : level.stop],
-            )
-        return found
 
-    def _forest(self, total: int) -> _Forests:
-        """Nonempty ordered forests with sizes summing to ``total``."""
-        found = self._forests.get(total)
-        if found is None:
-            if self.family is not FamilyId.SCHROEDER:
-                longer = self._joined(total, self._forest)
-            elif total > 1:  # the Schroeder trees of that size have these children
-                level = self.level(total)
-                longer = (
-                    self.children[level.start : level.stop],
-                    self.vertices[level.start : level.stop],
-                    self.leaves[level.start : level.stop],
-                )
-            else:
-                longer = ([], b"", b"")
-            found = self._forests[total] = _concat(longer, self._single(total))
-        return found
-
-    def _joined(self, total: int, rests_of) -> _Forests:
-        """A tree followed by each forest of ``rests_of``, sizes summing to ``total``."""
-        out: "list[tuple[int, ...]]" = []
-        vertices, leaves = bytearray(), bytearray()
-        for i in range(1, total):
-            rests, rest_vertices, rest_leaves = rests_of(total - i)
-            for first in self._ids(i):
-                out += [(first, *rest) for rest in rests]
-                vertices += rest_vertices.translate(_RAISE[self.vertices[first]])
-                leaves += rest_leaves.translate(_RAISE[self.leaves[first]])
-        return out, vertices, leaves
+def _outer(rows: bytes, columns: bytes) -> bytes:
+    """Row-major rows[r] + columns[c], in the shorter loop."""
+    if len(rows) <= len(columns):
+        return b"".join([columns.translate(_RAISE[r]) for r in rows])
+    out = bytearray(len(rows) * len(columns))
+    for c, x in enumerate(columns):
+        out[c :: len(columns)] = rows.translate(_RAISE[x])
+    return bytes(out)
 
 
-# _RAISE[c] maps a count byte x to x + c (mod 256); _build keeps every sum below 256.
+def _pass(pending: "dict[int, list[int]]", index: int, added: "list[int]") -> None:
+    """Adds ``added`` to the multiplicities pending for level ``index``."""
+    have = pending.get(index)
+    pending[index] = added if have is None else list(map(add, have, added))
+
+
+# _RAISE[c] maps a count byte x to x + c (mod 256); _build keeps every sum
+# below 256.  _MASK[k] maps the byte k to 1 and every other byte to 0.
 _BYTES_TWICE = bytes(range(256)) * 2
 _RAISE = [_BYTES_TWICE[c : c + 256] for c in range(256)]
-
-
-def _concat(first: _Forests, second: _Forests) -> _Forests:
-    return first[0] + second[0], first[1] + second[1], first[2] + second[2]
+_MASK = [bytes(k) + b"\x01" + bytes(255 - k) for k in range(256)]
 
 
 # The table of the family last asked for.  Switching families drops it,
@@ -315,7 +333,8 @@ def verify_family(family: FamilyId, n_max: "int | None" = None) -> VerificationR
             mismatches.append(Mismatch(family, stat, n, k, quantity, expected, actual))
 
     for n in range(1, n_max + 1):
-        record(None, n, None, "tree count", len(_table(family).level(n)), counting_coefficient(family, n))
+        held = _table(family)
+        record(None, n, None, "tree count", len(held.levels[held.level(n)].vertices), counting_coefficient(family, n))
         vertex_total = total_vertices(family, n)
         vertex_table = aggregate_census(family, n, StatKind.VERTICES, ceiling=n_max)
         # every leaf, and only a leaf, has a one-vertex subtree

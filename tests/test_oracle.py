@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from reference_oracle import ref_trees
+from reference_oracle import IndexTable, ref_trees
 
 from treecensus import (
     DEFAULT_BUDGETS,
@@ -203,21 +203,54 @@ def test_aggregate_matches_per_tree_walk(family):
 
 
 def test_subtree_counts_count_repeated_child_objects():
-    # one child index occurring twice in a tree counts twice, however deep
+    # one child level occurring twice in a block counts twice, however deep
     chain = (LEAF,)
     pair = (chain, chain)
     top = (chain, chain, LEAF)
     top2 = (pair, pair)
-    table = oracle._Table(FamilyId.ORDERED)
-    table.children = [(), (0,), (1, 1), (1, 1, 0), (2, 2)]  # LEAF, chain, pair, top, top2
-    roots = [census_tree(tree)[-1] for tree in (LEAF, chain, pair, top, top2)]
-    table.vertices = bytearray(root.subtree_vertices for root in roots)
-    table.leaves = bytearray(root.subtree_leaves for root in roots)
-    table.starts = [0, 0, 1, 2, 3, 5]  # the top level holds top and top2
+    table = oracle._Table(FamilyId.ORDERED)  # level 0 is LEAF
+    chain_level = table._add([(None, 0)], tree=True)
+    pair_level = table._add([(chain_level, chain_level)], tree=True)  # one tree, its child twice
+    rest = table._add([(chain_level, 0)], tree=False)  # the forest (chain, LEAF)
+    top_level = table._add([(chain_level, rest), (pair_level, pair_level)], tree=True)
+    table.trees = [None, 0, chain_level, pair_level, top_level]  # the top level holds top and top2
+    assert table.view(top_level) == [top, top2]
+    assert table.view(pair_level)[0][0] is table.view(pair_level)[0][1] is table.view(chain_level)[0]
     walked = [vertex for tree in (top, top2) for vertex in census_tree(tree)]
     by_vertices = Counter(vertex.subtree_vertices for vertex in walked)
     assert table.census(4) == (by_vertices, Counter(vertex.subtree_leaves for vertex in walked))
     assert by_vertices[2] == 6  # chain: twice under top, twice under each pair
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_block_table_matches_index_table(family):
+    blocks, reference = oracle._Table(family), IndexTable(family)
+    for n in range(1, DEFAULT_BUDGETS[family]):
+        level, indices = blocks.levels[blocks.level(n)], reference.level(n)
+        assert level.vertices == reference.vertices[indices.start : indices.stop], (family, n)
+        assert level.leaves == reference.leaves[indices.start : indices.stop], (family, n)
+        assert blocks.census(n) == reference.census(n), (family, n)
+
+
+def test_census_below_the_top_takes_both_block_layouts():
+    table = oracle._Table(FamilyId.ORDERED)
+    small, large = table.level(3), table.level(4)  # 2 and 5 trees
+    # rows <= columns, then rows > columns; under the top, each tree counts 40 times
+    mixed = table._add([(small, large), (large, small)], tree=True)
+    top = table._add([(mixed, mixed)], tree=True)
+    table.trees += [mixed, top]  # census(5) and census(6) take them as the top
+    for n in (5, 6):
+        trees = table.view(table.trees[n])
+        level, roots = table.levels[table.trees[n]], [census_tree(tree)[-1] for tree in trees]
+        assert level.vertices == bytes(root.subtree_vertices for root in roots)
+        assert level.leaves == bytes(root.subtree_leaves for root in roots)
+        walked = [vertex for tree in trees for vertex in census_tree(tree)]
+        expected = (
+            Counter(vertex.subtree_vertices for vertex in walked),
+            Counter(vertex.subtree_leaves for vertex in walked),
+        )
+        assert table.census(n) == expected
+    assert len(table.view(top)) == 20 * 20
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
@@ -246,7 +279,10 @@ def test_enumeration_cache_holds_one_family():
     enumerate_trees(FamilyId.MOTZKIN, 6)
     assert oracle._held is not held and oracle._held.family is FamilyId.MOTZKIN
     motzkin_trees = sum(counting_coefficient(FamilyId.MOTZKIN, n) for n in range(1, 7))
-    assert len(oracle._held.children) == len(oracle._held.nested) == motzkin_trees
+    held = oracle._held
+    assert len(held.trees) == 7  # the levels of sizes 1 to 6, and no more
+    assert sum(len(held.levels[index].vertices) for index in held.trees[1:]) == motzkin_trees
+    assert sum(len(held.views[index]) for index in held.trees[1:]) == motzkin_trees
     # the Schroeder table was dropped, so asking again builds its trees anew
     rebuilt = enumerate_trees(FamilyId.SCHROEDER, 6)
     assert rebuilt == schroeder
@@ -277,3 +313,17 @@ def test_verify_family_counts_every_listed_tree(family, monkeypatch):
     counted = {m.n: m.expected for m in report.mismatches if m.quantity == "tree count"}
     assert counted == {n: len(enumerate_trees(family, n)) for n in range(1, 9)}
     assert counted == {n: len(ref_trees(family, n)) for n in range(1, 9)}
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_child_counts_agree_with_descriptor(family):
+    from treecensus import descriptor
+
+    unit, exact, at_least = oracle._CHILD_COUNTS[family]
+    desc = descriptor(family)
+    assert unit is desc.size_unit
+    # T = x(1 + T + psi(T)) by vertices, T = x + psi(T) by leaves; psi is t^2, or t^2/(1 - t) if geometric
+    for d in range(13):
+        allowed = d in exact or (at_least is not None and d >= at_least)
+        from_spec = (d == 1 and unit is StatKind.VERTICES) or d == 2 or (d > 2 and desc.geometric_psi)
+        assert allowed == from_spec, (family, d)
