@@ -43,6 +43,7 @@ _SUBMODULE_NAMES = {
         "census_coefficient",
         "census_series",
         "census_table_from_series",
+        "clear_caches",
         "counting_coefficient",
         "counting_series",
         "descriptor",

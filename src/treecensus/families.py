@@ -12,7 +12,9 @@ vertices are counted, T = x + psi(T) when leaves are, with
 psi(t) = t**2 (Motzkin, full binary) or t**2/(1-t) (ordered,
 Schroeder).  ``fixed_point_solve`` solves that equation online in
 integers, one coefficient a step, and checks the result by applying the
-equation once more in integers, independently of the step rule.
+equation once more in integers, independently of the step rule: one
+convolution per family, a symmetric half-sum for t**2 and the inverse
+1/(1-s) for t**2/(1-t).
 
 The census series for a subtree statistic factors as
 
@@ -47,6 +49,7 @@ the cached body.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -54,12 +57,13 @@ from itertools import accumulate
 from math import comb
 from operator import add as _plus
 from operator import mul as _times
+from operator import sub as _minus
 from typing import NamedTuple, Sequence
 
 from .bivariate import BivariateSeries
 from .quadratic import QuadraticNumber
 from .ratfunc import RationalFunction, one_minus_x_power
-from .series import PowerSeries
+from .series import PowerSeries, TruncationError
 
 
 class DomainError(ValueError):
@@ -281,11 +285,20 @@ def counting_coefficient(family: FamilyId, n: int) -> int:
 def _phi(family: FamilyId, s: PowerSeries, order: int) -> PowerSeries:
     """Phi(s) through x**order for a series with integer coefficients.
 
-    psi(s) is a full Cauchy product of s with itself, followed by an
-    exact integer division by 1 - s where psi has that factor; nothing
-    here shares code or running arrays with the solver's step rule.
+    psi(s) takes one integer convolution over the final coefficients of
+    s: for psi = t**2 the square as a symmetric half-sum, each pair
+    i < k-i twice and the middle term once; for psi = t**2/(1-t) the
+    inverse g = 1/(1-s) by g_k = sum_(i=1..k) s_i*g_(k-i), exact because
+    s_0 = 0, and then psi = g - 1 - s.  Nothing here shares code or
+    running arrays with the solver's step rule.  The order must be at
+    least 1 (else ``DomainError``), and s must be known through
+    x**order (else ``TruncationError``).
     """
     desc = descriptor(family)
+    if order < 1:
+        raise DomainError("order must be at least 1")
+    if order > s.truncation_order:
+        raise TruncationError(f"order {order} exceeds truncation {s.truncation_order}")
     vertex_counted = desc.size_unit is StatKind.VERTICES
     coefficients = s.coefficients[: order + 1]
     if any(c.denominator != 1 for c in coefficients):
@@ -294,11 +307,15 @@ def _phi(family: FamilyId, s: PowerSeries, order: int) -> PowerSeries:
     if desc.geometric_psi and a[0]:
         raise SolverError("psi(s) = s**2/(1-s) needs s with zero constant term")
     top = order - 1 if vertex_counted else order
-    psi = [sum(map(_times, a[: k + 1], a[k::-1])) for k in range(top + 1)]
     if desc.geometric_psi:
-        # u = s**2/(1-s) solves u = s**2 + s*u; a[0] = 0 makes each step exact
+        g = [1]
         for k in range(1, top + 1):
-            psi[k] += sum(map(_times, a[1 : k + 1], psi[k - 1 :: -1]))
+            g.append(sum(map(_times, a[1 : k + 1], g[k - 1 :: -1])))
+        psi = [0, *map(_minus, g[1:], a[1:])]  # g_0 - 1 - s_0 = 0
+    else:  # the pairs (i, k - i) with i < k - i twice, then the middle terms once
+        psi = [2 * sum(map(_times, a[: (k + 1) // 2], a[k : k // 2 : -1])) for k in range(top + 1)]
+        for k in range(0, top + 1, 2):
+            psi[k] += a[k // 2] ** 2
     if vertex_counted:  # x*(1 + s + psi(s))
         return PowerSeries([0, 1 + a[0] + psi[0], *map(_plus, a[1:order], psi[1:])])
     psi[1] += 1  # x + psi(s)
@@ -318,10 +335,12 @@ def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
     psi(s) = s**2/(1-s) = s*(s + psi(s)), one convolution against the
     running s + psi(s).  The whole solve is O(order**2) integer work.
     ``_phi`` then applies Phi once more, from the result's coefficients
-    and independently of the step rule, and must reproduce every
-    coefficient 0..order exactly, otherwise the equation was
-    mis-encoded and ``SolverError`` is raised.  Returns the unique
-    solution with zero constant term.
+    and independently of the step rule (psi = s**2 as a half-sum over
+    the final coefficients, or psi = 1/(1-s) - 1 - s), one convolution
+    of about the step rule's cost, and must reproduce every coefficient
+    0..order exactly, otherwise the equation was mis-encoded and
+    ``SolverError`` is raised.  Returns the unique solution with zero
+    constant term.
     """
     if order < 1:
         raise DomainError("order must be at least 1")
@@ -669,3 +688,33 @@ def census_table_from_series(family: FamilyId, stat: StatKind, n_max: int) -> Ce
             if value:
                 entries[(n, k)] = int(value)
     return CensusTable(family, stat, entries)
+
+
+# -- caches ----------------------------------------------------------------------
+
+# Every memo in this module, bound at import so a rebinding of the public
+# names (a wrapper, a test double) cannot hide one.
+_CACHED = (
+    _counting_integers,
+    _multiplier_integers,
+    fixed_point_solve,
+    _bivariate_bucketed,
+    root_stat_gf,
+    _root_parts,
+    _multiplier_sums,
+)
+
+
+def clear_caches() -> None:
+    """Drop every cached value, so the next call of each function runs cold.
+
+    Empties this module's caches and, if ``treecensus.oracle`` is already
+    imported, the oracle's census cache and its held enumeration; it
+    never imports the oracle.  Cached values are pure, so clearing
+    changes no result, only the time to the next one.
+    """
+    for cached in _CACHED:
+        cached.cache_clear()
+    oracle = sys.modules.get(f"{__package__}.oracle")
+    if oracle is not None:
+        oracle._clear_caches()

@@ -283,6 +283,13 @@ def _aggregate(family: FamilyId, n: int) -> "dict[StatKind, CensusTable]":
     }
 
 
+def _clear_caches() -> None:
+    """Drop the census cache and the held table (``clear_caches``)."""
+    global _held
+    _aggregate.cache_clear()
+    _held = None
+
+
 def aggregate_census(family: FamilyId, n: int, stat: StatKind, ceiling: "int | None" = None) -> CensusTable:
     """Brute-force vertex counts by statistic value over all size-n trees."""
     family, stat = FamilyId(family), StatKind(stat)

@@ -22,11 +22,13 @@ from treecensus import (
     RationalFunction,
     SolverError,
     StatKind,
+    TruncationError,
     aggregate_census,
     bivariate_series,
     census_coefficient,
     census_series,
     census_table_from_series,
+    clear_caches,
     counting_coefficient,
     counting_series,
     families,
@@ -35,6 +37,7 @@ from treecensus import (
     fixed_point_solve,
     max_stat_value,
     multiplier_gf,
+    oracle,
     root_stat_gf,
     total_leaves,
     total_vertices,
@@ -110,6 +113,49 @@ def test_phi_matches_reference_equation(family):
     for s in (counting, perturbed):
         assert families._phi(family, s, order) == ref_phi(family, s, order)
     assert families._phi(family, perturbed, order) != perturbed
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_phi_matches_reference_at_every_order(family):
+    # orders 1..100 take both parities of every middle square term and the
+    # orders the benchmark solves (48-82); besides the counting series, s is
+    # moved by +1 at an even index, -3 at an odd one and +2 at the last one
+    for order in range(1, 101):
+        counting = counting_series(family, order)
+        moved = counting - PowerSeries.monomial(3, 2 * (order // 4) + 1, order)
+        moved += PowerSeries.monomial(2, order, order)
+        if order >= 2:
+            moved += PowerSeries.monomial(1, 2 * max(1, order // 4), order)
+        for s in (counting, moved):
+            assert families._phi(family, s, order) == ref_phi(family, s, order), (order, s)
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_phi_needs_an_order_from_one_to_the_truncation(family):
+    s = PowerSeries([0, 1])
+    for phi in (families._phi, ref_phi):
+        with pytest.raises(TruncationError):
+            phi(family, s, 5)
+    assert families._phi(family, s, 1) == ref_phi(family, s, 1)
+    with pytest.raises(DomainError, match="at least 1"):
+        families._phi(family, s, 0)
+
+
+def test_clear_caches_empties_every_cache():
+    cached = [value for value in vars(families).values() if hasattr(value, "cache_clear")]
+    assert len(cached) == 7
+    for family in FamilyId:
+        fixed_point_solve(family, 10)
+        multiplier_gf(family, 10)
+        bivariate_series(family, 8, 4)
+        census_coefficient(family, StatKind.LEAVES, 2, 30)
+    aggregate_census(FamilyId.MOTZKIN, 5, StatKind.VERTICES)
+    assert all(value.cache_info().currsize for value in cached)
+    assert oracle._aggregate.cache_info().currsize and oracle._held is not None
+    clear_caches()
+    assert [value.cache_info().currsize for value in cached] == [0] * 7
+    assert oracle._aggregate.cache_info().currsize == 0 and oracle._held is None
+    assert fixed_point_solve(FamilyId.SCHROEDER, 10) == counting_series(FamilyId.SCHROEDER, 10)
 
 
 def test_phi_rejects_series_outside_its_integer_domain():

@@ -68,3 +68,10 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(treecensus, "FamilyID")  # a near miss of FamilyId
     with pytest.raises(ImportError):
         exec("from treecensus import no_such_name", {})
+
+
+def test_clear_caches_never_imports_the_oracle():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, treecensus; treecensus.clear_caches(); print('treecensus.oracle' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False"]
