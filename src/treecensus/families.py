@@ -27,14 +27,14 @@ which statistic is being counted, so one multiplier per family serves
 both.
 
 Every root-statistic GF is a closed form P(x)/(1-x)**m with integer P:
-a monomial when the statistic is the size unit, and otherwise built
-from Catalan (Motzkin leaves), Narayana (ordered leaves) or
-Kirkman-Cayley (Schroeder vertices) numbers.  So a census coefficient
-is sum_i P_i * [x^(n-i)] multiplier/(1-x)**m: the second factor is
-cached per (family, m, bucket), and one coefficient costs deg P + 1
-products.  The bivariate refinement is not on that path; the tests fit
-rational functions to its coefficients as an independent derivation
-of the closed forms.
+a monomial when the statistic is the size unit, and otherwise a
+Lagrange-inversion count of the trees of psi's branching.  So a census
+coefficient is sum_i P_i * [x^(n-i)] multiplier/(1-x)**m: the second
+factor is cached per (family, m, bucket), and one coefficient costs
+deg P + 1 products.  The bivariate refinement, one x-adic solver in the
+size unit and psi, is not on that path; the tests fit rational
+functions to its coefficients as an independent derivation of the
+closed forms.
 
 All arithmetic is exact: integers inside, ``Fraction`` and
 ``PowerSeries`` only at the API boundary.  Sequences are cached at
@@ -58,7 +58,7 @@ from math import comb
 from operator import add as _plus
 from operator import mul as _times
 from operator import sub as _minus
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bivariate import BivariateSeries
 from .quadratic import QuadraticNumber
@@ -116,22 +116,20 @@ class FamilyDescriptor(NamedTuple):
     are counted and T = x + psi(T) when leaves are, where psi counts
     the vertices with two or more children: psi(t) = t**2/(1-t) (any
     number from two on) if ``geometric_psi`` is set and t**2 (exactly
-    two) otherwise.  ``singularity`` is the radius
-    of convergence of the family's square-root factor and
-    ``normalization`` the exact constant K with
-    limit probability = (root GF at singularity) * K.  ``counting``
-    and ``multiplier`` give the coefficients of the counting series
-    and of the multiplier.
+    two) otherwise; the root-statistic GFs and the bivariate refinement
+    follow from the same two fields.  ``singularity`` is the radius of
+    convergence of the family's square-root factor and ``normalization``
+    the exact constant K with limit probability = (root GF at
+    singularity) * K.  ``counting`` and ``multiplier`` give the
+    coefficients of the counting series and of the multiplier.
     """
 
     id: FamilyId
-    label: str
     size_unit: StatKind
     geometric_psi: bool
     radicand: int
     singularity: QuadraticNumber
     normalization: QuadraticNumber
-    arity_rule: str
     counting: Recurrence
     multiplier: Recurrence
 
@@ -143,13 +141,11 @@ class FamilyDescriptor(NamedTuple):
 FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
     FamilyId.MOTZKIN: FamilyDescriptor(
         id=FamilyId.MOTZKIN,
-        label="Motzkin (unary-binary) trees",
         size_unit=StatKind.VERTICES,
         geometric_psi=False,
         radicand=2,
         singularity=QuadraticNumber(Fraction(1, 3)),
         normalization=QuadraticNumber(1),
-        arity_rule="internal vertices have 1 or 2 children",
         # (n+1)*t_n = (2n-1)*t_(n-1) + 3(n-2)*t_(n-2)
         counting=Recurrence((0, 1), ((1, 1), (-1, 2), (-6, 3))),
         # n*m_n = (2n-1)*m_(n-1) + 3(n-1)*m_(n-2): central trinomial coefficients
@@ -157,26 +153,22 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
     ),
     FamilyId.ORDERED: FamilyDescriptor(
         id=FamilyId.ORDERED,
-        label="ordered (plane) trees",
         size_unit=StatKind.VERTICES,
         geometric_psi=True,
         radicand=2,
         singularity=QuadraticNumber(Fraction(1, 4)),
         normalization=QuadraticNumber(2),
-        arity_rule="no arity restriction",
         counting=_SHIFTED_CATALAN,
         # n*m_n = 2(2n-1)*m_(n-1) for n >= 2: half the central binomials
         multiplier=Recurrence((1, 1), ((0, 1), (-2, 4))),
     ),
     FamilyId.FULL_BINARY: FamilyDescriptor(
         id=FamilyId.FULL_BINARY,
-        label="full binary trees",
         size_unit=StatKind.LEAVES,
         geometric_psi=False,
         radicand=2,
         singularity=QuadraticNumber(Fraction(1, 4)),
         normalization=QuadraticNumber(2),
-        arity_rule="internal vertices have exactly 2 children",
         counting=_SHIFTED_CATALAN,
         # n*m_n = 2(2n-1)*m_(n-1): central binomials, m_n = (n+1)*t_(n+1)
         multiplier=Recurrence((1,), ((0, 1), (-2, 4))),
@@ -187,13 +179,11 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
     # rederives this constant from finite-size censuses.
     FamilyId.SCHROEDER: FamilyDescriptor(
         id=FamilyId.SCHROEDER,
-        label="Schroeder trees",
         size_unit=StatKind.LEAVES,
         geometric_psi=True,
         radicand=2,
         singularity=QuadraticNumber(3, -2, 2),
         normalization=QuadraticNumber(2, 1, 2),
-        arity_rule="internal vertices have at least 2 children",
         # n*t_n = 3(2n-3)*t_(n-1) - (n-3)*t_(n-2)
         counting=Recurrence((0, 1, 1), ((0, 1), (-9, 6), (3, -1))),
         # n(n-1)*m_n = 3(n-1)(2n-1)*m_(n-1) - n(n-2)*m_(n-2): m_n = (n+1)*t_(n+1)
@@ -376,77 +366,45 @@ def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
 
 @lru_cache(maxsize=None)
 def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> BivariateSeries:
-    """x-adic fixed-point solution of the bivariate functional equation.
+    """x-adic solution of the bivariate functional equation, y the other statistic.
 
-    Each step finalises one more power of x from the lower slices, the
-    online scheme ``fixed_point_solve`` uses for the counting series.
-    The y-polynomials are integer lists; ``BivariateSeries`` converts
-    them to ``Fraction`` once.
+    A vertex-counted family has T = x*y + x*(T + psi(T)) (y marks
+    leaves), a leaf-counted one T = x*y + y*psi(T) (y marks vertices),
+    with psi as in ``fixed_point_solve``, whose step rule this is on
+    integer y-polynomials truncated at y**order_y: psi(T) = T**2 as a
+    symmetric sum, or T*(T + psi(T)) against the running T + psi(T).
+    ``BivariateSeries`` converts the rows to ``Fraction`` once.
     """
-    family = FamilyId(family)
-    ny = order_y
-    y = [0, 1][: ny + 1]
+    desc = descriptor(family)
+    vertex_counted = desc.size_unit is StatKind.VERTICES
+    size = order_y + 1
 
-    def prod(a, b):
-        return _product(a, b, min(len(a) + len(b) - 1, ny + 1))
+    def padd(a: "list[int]", b: "list[int]") -> "list[int]":
+        return [*map(_plus, a, b), *a[len(b) :], *b[len(a) :]]
 
-    def padd(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        return list(map(_plus, a, b)) + a[len(b) :]
+    def convolve(pairs: "Iterable[tuple[list[int], list[int]]]") -> "list[int]":
+        out: "list[int]" = []
+        for a, b in pairs:
+            out = padd(out, _product(a, b, min(len(a) + len(b) - 1, size)))
+        return out
 
-    if family is FamilyId.MOTZKIN:
-        # M = x*y + x*M + x*M^2
-        m: "list[list[int]]" = [[]]
-        for n in range(1, order_x + 1):
-            acc = list(y) if n == 1 else []
-            acc = padd(acc, m[n - 1])
-            for a in range(1, n - 1):
-                acc = padd(acc, prod(m[a], m[n - 1 - a]))
-            m.append(acc)
-        return BivariateSeries(m, order_x, order_y)
-
-    if family is FamilyId.ORDERED:
-        # T = x*y + x*W with W = T/(1-T) = T + T*W
-        t: "list[list[int]]" = [[]]
-        w: "list[list[int]]" = [[]]
-        for n in range(1, order_x + 1):
-            tn = padd(list(y) if n == 1 else [], w[n - 1])
-            t.append(tn)
-            wn = list(tn)
-            for a in range(1, n):
-                wn = padd(wn, prod(t[a], w[n - a]))
-            w.append(wn)
-        return BivariateSeries(t, order_x, order_y)
-
-    if family is FamilyId.FULL_BINARY:
-        # B = x*y + y*B^2  (x counts leaves, y counts vertices)
-        b: "list[list[int]]" = [[]]
-        for n in range(1, order_x + 1):
-            acc: "list[int]" = []
-            for a in range(1, n):
-                acc = padd(acc, prod(b[a], b[n - a]))
-            acc = ([0] + acc)[: ny + 1]  # times y
-            if n == 1:
-                acc = padd(acc, y)
-            b.append(acc)
-        return BivariateSeries(b, order_x, order_y)
-
-    # Schroeder: R = x*y + y*W with W = R^2 + R*W (x leaves, y vertices)
-    r: "list[list[int]]" = [[]]
-    w: "list[list[int]]" = [[]]
+    t: "list[list[int]]" = [[]]
+    psi: "list[list[int]]" = [[]]  # psi(T); T_n needs psi_(n-1) when vertex-counted, psi_n otherwise
+    t_plus_psi: "list[list[int]]" = []  # when psi(T) = T*(T + psi(T))
     for n in range(1, order_x + 1):
-        wn: "list[int]" = []
-        for a in range(1, n):
-            wn = padd(wn, prod(r[a], r[n - a]))
-        for a in range(1, n - 1):
-            wn = padd(wn, prod(r[a], w[n - a]))
-        w.append(wn)
-        rn = ([0] + wn)[: ny + 1]  # times y
-        if n == 1:
-            rn = padd(rn, y)
-        r.append(rn)
-    return BivariateSeries(r, order_x, order_y)
+        j = n - 1 if vertex_counted else n
+        if j == len(psi):
+            if desc.geometric_psi:
+                t_plus_psi.append(padd(t[j - 1], psi[j - 1]))
+                pj = convolve((t[a], t_plus_psi[j - a]) for a in range(1, j))
+            else:  # the pairs (a, j - a) with a < j/2 twice, the middle once
+                pj = [2 * c for c in convolve((t[a], t[j - a]) for a in range(1, (j + 1) // 2))]
+                if j % 2 == 0:
+                    pj = padd(pj, convolve([(t[j // 2], t[j // 2])]))
+            psi.append(pj)
+        tn = padd(t[n - 1], psi[n - 1]) if vertex_counted else [0, *psi[n]][:size]
+        t.append(padd(tn, [0, 1][:size]) if n == 1 else tn)  # + x*y
+    return BivariateSeries(t, order_x, order_y)
 
 
 def bivariate_series(family: FamilyId, order_x: int, order_y: int) -> BivariateSeries:
@@ -480,61 +438,47 @@ def multiplier_gf(family: FamilyId, order: int) -> PowerSeries:
 def root_stat_gf(family: FamilyId, stat: StatKind, k: int) -> RationalFunction:
     """GF (in the family's size variable) of trees whose root statistic is k.
 
-    When the statistic coincides with the family's size unit the GF is
-    the monomial count(k) * x**k.  Full binary trees with k vertices
-    force k = 2j-1 odd with j leaves.  The other three pairs have
-    classical closed forms:
-
-    - Motzkin trees with k leaves: Cat(k-1) * x**(2k-1) / (1-x)**(2k-1)
-      (the binary skeleton is one of Cat(k-1) full binary trees with
-      2k-1 vertices; unary chains are inserted above each of them);
-    - ordered trees with k leaves: sum_n N(n-1, k) * x**n, with the
-      Narayana numbers N(m, k) = C(m, k) * C(m, k-1) / m and N(0, 1) = 1,
-      equal to x**(k+1) * sum_j N(k-1, j) * x**(j-1) / (1-x)**(2k-1);
-    - Schroeder trees with k vertices: the polynomial
-      sum_j C(j-2, i-1) * C(j+i-1, i-1) / i * x**j over j leaves and
-      i = k-j internal vertices (Kirkman-Cayley numbers).
-
-    ``bivariate_series`` with ``fit_rational`` rederives these in the tests.
+    The monomial count(k) * x**k when the statistic is the family's size
+    unit.  Otherwise, with N(v, j) the psi-trees of ``_psi_trees``:
+    sum_j N(k, j) * x**j for k vertices of a leaf-counted family; for k
+    leaves of a vertex-counted one, a psi-tree with a unary chain above
+    each vertex, sum_v N(v, k) * (x/(1-x))**v, that is
+    sum_v N(v, k) * x**v * (1-x)**(2k-1-v) over (1-x)**(2k-1), its
+    numerator by Horner in (1-x) from the first nonzero term (for
+    psi = t**2 the only one).  ``bivariate_series`` with
+    ``fit_rational`` rederives these in the tests.
     """
-    family, stat = FamilyId(family), StatKind(stat)
+    desc, stat = descriptor(family), StatKind(stat)
     if k < 1:
         raise DomainError("statistic value k must be at least 1")
-    desc = descriptor(family)
     if stat is desc.size_unit:
-        return RationalFunction.monomial(counting_coefficient(family, k), k)
-    if family is FamilyId.FULL_BINARY:
-        if k % 2 == 0:
-            return RationalFunction.zero()
-        j = (k + 1) // 2
-        return RationalFunction.monomial(counting_coefficient(family, j), j)
-    if family is FamilyId.SCHROEDER:
-        return RationalFunction(_kirkman_cayley(k))
+        return RationalFunction.monomial(counting_coefficient(desc.id, k), k)
+    geometric = desc.geometric_psi
+    if desc.size_unit is StatKind.LEAVES:
+        return RationalFunction([_psi_trees(geometric, k, j) for j in range(k + 1)])
     m = 2 * k - 1
-    if family is FamilyId.MOTZKIN:
-        numerator = [0] * m + [comb(2 * k - 2, k - 1) // k]
-    elif k == 1:
-        numerator = [0, 1]
+    terms = [_psi_trees(geometric, v, k) for v in range(k, m + 1)]
+    first = next(v for v, term in enumerate(terms, k) if term)
+    tail = [terms[first - k]]  # the numerator over x**first
+    for v in range(first + 1, m + 1):
+        tail = [*map(_minus, tail, [0, *tail]), -tail[-1]]  # times (1-x)
+        tail[-1] += terms[v - k]
+    return RationalFunction([0] * first + tail, one_minus_x_power(m))
+
+
+def _psi_trees(geometric: bool, v: int, j: int) -> int:
+    """N(v, j): trees of psi's branching with v vertices and j leaves.
+
+    By Lagrange inversion, C(v, j)/v * [t^(v-1)] psi**i with i = v - j
+    internal vertices; [t^a] psi**i is C(a-i-1, i-1) for
+    psi = t**2/(1-t) and i >= 1, and [a = 2i] otherwise.
+    """
+    i, a = v - j, v - 1
+    if geometric and i:
+        power = comb(a - i - 1, i - 1) if a >= 2 * i else 0
     else:
-        # sum_n N(n-1, k) x^n times (1-x)^m: Narayana numbers again
-        numerator = [0] * (k + 1) + [_narayana(k - 1, j) for j in range(1, k)]
-    return RationalFunction(numerator, one_minus_x_power(m))
-
-
-def _narayana(m: int, k: int) -> int:
-    """N(m, k): ordered trees with m edges and k leaves."""
-    return comb(m, k) * comb(m, k - 1) // m
-
-
-def _kirkman_cayley(k: int) -> "list[int]":
-    """Schroeder trees with k vertices, by their number j of leaves."""
-    if k == 1:
-        return [0, 1]
-    out = [0] * k
-    for j in range((k + 2) // 2, k):
-        i = k - j
-        out[j] = comb(j - 2, i - 1) * comb(j + i - 1, i - 1) // i
-    return out
+        power = int(a == 2 * i)
+    return comb(v, j) * power // v if power else 0
 
 
 # -- census series ----------------------------------------------------------------
@@ -553,14 +497,9 @@ def _root_parts(family: FamilyId, stat: StatKind, k: int) -> "tuple[tuple[int, .
     return tuple(value.numerator for value in root.numerator), m
 
 
-def _summed_multiplier(family: FamilyId, m: int, bucket: int) -> "tuple[int, ...]":
-    """Coefficients 0..bucket of multiplier / (1-x)**m, by m running-sum
-    passes; m = 0 is the multiplier's own cached tuple."""
-    return _multiplier_sums(family, m, bucket) if m else _multiplier_integers(family, bucket)
-
-
 @lru_cache(maxsize=None)
 def _multiplier_sums(family: FamilyId, m: int, bucket: int) -> "tuple[int, ...]":
+    """multiplier / (1-x)**m through x**bucket, by m running sums (m = 0: the multiplier)."""
     values = _multiplier_integers(family, bucket)
     for _ in range(m):
         values = tuple(accumulate(values))
@@ -573,7 +512,7 @@ def census_series(family: FamilyId, stat: StatKind, k: int, order: int) -> Power
     if order < 1:
         raise DomainError("order must be at least 1")
     numerator, m = _root_parts(family, stat, k)
-    summed = _summed_multiplier(family, m, _series_bucket(order))
+    summed = _multiplier_sums(family, m, _series_bucket(order))
     return PowerSeries(_product(numerator, summed, order + 1))
 
 
@@ -585,7 +524,7 @@ def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
     if k < 1:
         raise DomainError("statistic value k must be at least 1")
     numerator, m = _root_parts(family, stat, k)
-    summed = _summed_multiplier(family, m, _series_bucket(max(n, 1)))
+    summed = _multiplier_sums(family, m, _series_bucket(max(n, 1)))
     return sum(map(_times, numerator[: n + 1], summed[n::-1]))
 
 

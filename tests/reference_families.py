@@ -1,4 +1,4 @@
-"""Closed-form counting series, multipliers, vertex totals and Phi.
+"""Per-family closed forms and solvers, the references for the package.
 
 The package computes the counting and multiplier coefficients from
 integer P-recurrences.  These functions derive the same series from the
@@ -10,14 +10,35 @@ arithmetic, as the reference for the package's psi-driven ``_phi``.
 ``ref_census_coefficient`` and ``ref_total_vertices`` are one O(n)
 integer convolution each, against the multiplier: the root GF's
 expansion (m running sums of its numerator), and the counting series.
+
+The package derives its bivariate series and root-statistic GFs from
+the size unit and psi alone: one x-adic solver and one Lagrange
+formula.  ``ref_bivariate`` keeps the four hand-written solvers, one
+equation per family, and ``ref_root_stat_gf`` the classical closed
+forms per pair: Catalan (Motzkin leaves), Narayana (ordered leaves),
+Kirkman-Cayley (Schroeder vertices) and the parity of full binary
+trees' vertex counts.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from math import comb
+from operator import add, mul
 
-from treecensus import FamilyId, PowerSeries, counting_series, multiplier_gf, root_stat_gf
+from treecensus import (
+    BivariateSeries,
+    FamilyId,
+    PowerSeries,
+    RationalFunction,
+    StatKind,
+    counting_coefficient,
+    counting_series,
+    descriptor,
+    multiplier_gf,
+    root_stat_gf,
+)
+from treecensus.ratfunc import one_minus_x_power
 
 # The highest order the convolution references reach.
 REF_ORDER = 1280
@@ -110,3 +131,136 @@ def ref_total_vertices(family: FamilyId, n: int) -> int:
     counts = _integers(counting_series, FamilyId(family))
     mult = _integers(multiplier_gf, FamilyId(family))
     return sum(map(mul, counts[: n + 1], mult[n::-1]))
+
+
+# -- the per-family bivariate solvers and root GFs ---------------------------------
+
+
+def _product(a, b, size):
+    """The first ``size`` coefficients of the product of two integer polynomials."""
+    out = [0] * size
+    for j, c in enumerate(a[:size]):
+        if c:
+            tail = b[: size - j]
+            out[j : j + len(tail)] = map(add, out[j : j + len(tail)], [c * d for d in tail])
+    return out
+
+
+def ref_bivariate(family: FamilyId, order_x: int, order_y: int) -> BivariateSeries:
+    """The bivariate series from one hand-written equation per family."""
+    family = FamilyId(family)
+    ny = order_y
+    y = [0, 1][: ny + 1]
+
+    def prod(a, b):
+        return _product(a, b, min(len(a) + len(b) - 1, ny + 1))
+
+    def padd(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        return list(map(add, a, b)) + a[len(b) :]
+
+    if family is FamilyId.MOTZKIN:
+        # M = x*y + x*M + x*M^2
+        m = [[]]
+        for n in range(1, order_x + 1):
+            acc = list(y) if n == 1 else []
+            acc = padd(acc, m[n - 1])
+            for a in range(1, n - 1):
+                acc = padd(acc, prod(m[a], m[n - 1 - a]))
+            m.append(acc)
+        return BivariateSeries(m, order_x, order_y)
+
+    if family is FamilyId.ORDERED:
+        # T = x*y + x*W with W = T/(1-T) = T + T*W
+        t = [[]]
+        w = [[]]
+        for n in range(1, order_x + 1):
+            tn = padd(list(y) if n == 1 else [], w[n - 1])
+            t.append(tn)
+            wn = list(tn)
+            for a in range(1, n):
+                wn = padd(wn, prod(t[a], w[n - a]))
+            w.append(wn)
+        return BivariateSeries(t, order_x, order_y)
+
+    if family is FamilyId.FULL_BINARY:
+        # B = x*y + y*B^2  (x counts leaves, y counts vertices)
+        b = [[]]
+        for n in range(1, order_x + 1):
+            acc = []
+            for a in range(1, n):
+                acc = padd(acc, prod(b[a], b[n - a]))
+            acc = ([0] + acc)[: ny + 1]  # times y
+            if n == 1:
+                acc = padd(acc, y)
+            b.append(acc)
+        return BivariateSeries(b, order_x, order_y)
+
+    # Schroeder: R = x*y + y*W with W = R^2 + R*W (x leaves, y vertices)
+    r = [[]]
+    w = [[]]
+    for n in range(1, order_x + 1):
+        wn = []
+        for a in range(1, n):
+            wn = padd(wn, prod(r[a], r[n - a]))
+        for a in range(1, n - 1):
+            wn = padd(wn, prod(r[a], w[n - a]))
+        w.append(wn)
+        rn = ([0] + wn)[: ny + 1]  # times y
+        if n == 1:
+            rn = padd(rn, y)
+        r.append(rn)
+    return BivariateSeries(r, order_x, order_y)
+
+
+def ref_root_stat_gf(family: FamilyId, stat: StatKind, k: int) -> RationalFunction:
+    """The root-statistic GF from the classical closed form of each pair.
+
+    - the size unit: the monomial count(k) * x**k;
+    - full binary trees with k vertices: k = 2j-1 odd, j leaves;
+    - Motzkin trees with k leaves: Cat(k-1) * x**(2k-1) / (1-x)**(2k-1)
+      (a full binary skeleton with 2k-1 vertices, unary chains above
+      each vertex);
+    - ordered trees with k leaves: sum_n N(n-1, k) * x**n with the
+      Narayana numbers N(m, k) = C(m, k) * C(m, k-1) / m and
+      N(0, 1) = 1, equal to
+      x**(k+1) * sum_j N(k-1, j) * x**(j-1) / (1-x)**(2k-1);
+    - Schroeder trees with k vertices: the Kirkman-Cayley numbers
+      C(j-2, i-1) * C(j+i-1, i-1) / i over j leaves and i = k-j
+      internal vertices.
+    """
+    family, stat = FamilyId(family), StatKind(stat)
+    if stat is descriptor(family).size_unit:
+        return RationalFunction.monomial(counting_coefficient(family, k), k)
+    if family is FamilyId.FULL_BINARY:
+        if k % 2 == 0:
+            return RationalFunction.zero()
+        j = (k + 1) // 2
+        return RationalFunction.monomial(counting_coefficient(family, j), j)
+    if family is FamilyId.SCHROEDER:
+        return RationalFunction(_kirkman_cayley(k))
+    m = 2 * k - 1
+    if family is FamilyId.MOTZKIN:
+        numerator = [0] * m + [comb(2 * k - 2, k - 1) // k]
+    elif k == 1:
+        numerator = [0, 1]
+    else:
+        numerator = [0] * (k + 1) + [_narayana(k - 1, j) for j in range(1, k)]
+    return RationalFunction(numerator, one_minus_x_power(m))
+
+
+def _narayana(m: int, k: int) -> int:
+    """N(m, k): ordered trees with m edges and k leaves."""
+    return comb(m, k) * comb(m, k - 1) // m
+
+
+def _kirkman_cayley(k: int) -> "list[int]":
+    """Schroeder trees with k vertices, by their number j of leaves."""
+    if k == 1:
+        return [0, 1]
+    out = [0] * k
+    for j in range((k + 2) // 2, k):
+        i = k - j
+        out[j] = comb(j - 2, i - 1) * comb(j + i - 1, i - 1) // i
+    return out

@@ -5,10 +5,12 @@ from math import comb
 
 import pytest
 from reference_families import (
+    ref_bivariate,
     ref_census_coefficient,
     ref_counting,
     ref_multiplier,
     ref_phi,
+    ref_root_stat_gf,
     ref_total_vertices,
     ref_vertex_totals,
 )
@@ -417,6 +419,25 @@ def test_root_gf_and_leaf_totals_bypass_the_fit(monkeypatch):
                 root_stat_gf(family, stat, k)
         for n in range(1, 65):
             total_leaves(family, n)
+
+
+def test_root_stat_gf_matches_the_classical_closed_forms():
+    # the Lagrange form in psi against Catalan, Narayana, Kirkman-Cayley
+    # and the full binary parity, written out per pair
+    for family in FamilyId:
+        for stat in StatKind:
+            for k in range(1, 61):
+                closed = root_stat_gf(family, stat, k)
+                expected = ref_root_stat_gf(family, stat, k)
+                assert closed == expected, (family, stat, k)
+                assert str(closed) == str(expected), (family, stat, k)
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_bivariate_solver_matches_the_per_family_equations(family):
+    # the solver in the size unit and psi against one hand-written
+    # equation per family, at the smallest bucket
+    assert families._bivariate_bucketed(family, 64, 24) == ref_bivariate(family, 64, 24)
 
 
 def test_ordered_leaf_root_gf_expands_to_narayana_numbers():
