@@ -18,15 +18,12 @@ _SUBMODULE_NAMES = {
         "BenderInput",
         "ConvergenceRecord",
         "LemmaInapplicableError",
-        "SchroederAsymptotics",
         "TightnessReport",
         "bender_forced_zero",
         "bender_limit",
         "limit_probability",
         "normalization_constant",
-        "normalization_from_censuses",
         "richardson_check",
-        "schroeder_closed_forms",
         "tightness_report",
     ),
     "bivariate": ("BivariateSeries",),
@@ -66,7 +63,7 @@ _SUBMODULE_NAMES = {
         "verify_family",
     ),
     "quadratic": ("QuadraticNumber",),
-    "ratfunc": ("FitError", "PoleError", "RationalFunction", "fit_rational"),
+    "ratfunc": ("PoleError", "RationalFunction"),
     "series": (
         "ConstantTermError",
         "PowerSeries",

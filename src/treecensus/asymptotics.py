@@ -12,7 +12,6 @@ totals).  Everything except the convergence records is exact.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -163,39 +162,6 @@ def richardson_check(
     return ConvergenceRecord(tuple(sizes), probs, extrapolate, exact, gap)
 
 
-# -- Schroeder closed-form asymptotics ---------------------------------------------
-
-
-class SchroederAsymptotics(NamedTuple):
-    """Floating evaluations of the displayed Schroeder asymptotic formulas.
-
-    ``leaf_probability`` reproduces the printed closed-form constant
-    (1+sqrt(2)) / (sqrt(2) (3+sqrt(8))) = 1 - sqrt(2)/2 exactly; see the
-    errata ledger for how it relates to the computed leaf-fraction
-    limit 2 - sqrt(2).
-    """
-
-    n: int
-    count_approx: float  # number of trees with n leaves
-    leaf_total_approx: float
-    vertex_total_approx: float
-    leaf_probability: QuadraticNumber
-
-
-def schroeder_closed_forms(n: int) -> SchroederAsymptotics:
-    if n < 2:
-        raise ValueError("asymptotic formulas need n >= 2")
-    growth = 3 + math.sqrt(8)
-    front = (1 + math.sqrt(2)) / (2 ** 1.75 * math.sqrt(math.pi))
-    count = front * (n - 1) ** -1.5 * growth ** (n - 1)
-    leaves = front * (n - 1) ** -0.5 * growth ** (n - 1)
-    vertices = growth ** n / (2 ** 2.25 * math.sqrt(math.pi * n))
-    printed_constant = (1 + QuadraticNumber(0, 1, 2)) / (
-        QuadraticNumber(0, 1, 2) * (3 + QuadraticNumber(0, 1, 8))
-    )
-    return SchroederAsymptotics(n, count, leaves, vertices, printed_constant)
-
-
 # -- tightness ----------------------------------------------------------------------
 
 
@@ -230,32 +196,3 @@ def tightness_report(family: FamilyId, stat: StatKind, k_max: int) -> TightnessR
         partial_sum=partial,
         deficiency=QuadraticNumber(1, 0, d) - partial,
     )
-
-
-# -- normalization oracle -------------------------------------------------------------
-
-
-def normalization_from_censuses(
-    family: FamilyId, sizes: "tuple[int, ...]" = DEFAULT_SIZES
-) -> QuadraticNumber:
-    """Re-derive K(family) from finite-size data only.
-
-    K = lim p(n) / R_1(b) for the k = 1 statistic (both statistics
-    agree there: the qualifying vertices are exactly the leaves).  The
-    three finite ratios are extrapolated with two Richardson steps,
-    which removes the 1/n and 1/n^2 error terms.
-    """
-    if len(sizes) != 3:
-        raise ValueError("the oracle uses exactly three sizes")
-    n1, n2, n3 = sizes
-    if not (n2 == 2 * n1 and n3 == 2 * n2):
-        raise ValueError("sizes must double")
-    desc = descriptor(family)
-    r1 = root_stat_gf(family, desc.size_unit, 1).eval(desc.singularity)
-    ratios = [
-        QuadraticNumber(finite_probability(family, desc.size_unit, 1, n), 0, desc.radicand) / r1
-        for n in sizes
-    ]
-    first = ratios[1] * 2 - ratios[0]
-    second = ratios[2] * 2 - ratios[1]
-    return (second * 4 - first) / 3

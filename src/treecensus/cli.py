@@ -35,7 +35,6 @@ from .families import (
     root_stat_gf,
 )
 from .quadratic import QuadraticNumber
-from .ratfunc import FitError
 from .render import (
     DEFAULT_PRECISION,
     decimal_places,
@@ -521,7 +520,6 @@ def main(argv: "list[str] | None" = None) -> int:
         SeriesError,
         SolverError,
         LemmaInapplicableError,
-        FitError,
         OSError,  # an unusable --out, --golden or --write-golden path
     ) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -31,10 +31,11 @@ a monomial when the statistic is the size unit, and otherwise a
 Lagrange-inversion count of the trees of psi's branching.  So a census
 coefficient is sum_i P_i * [x^(n-i)] multiplier/(1-x)**m: the second
 factor is cached per (family, m, bucket), and one coefficient costs
-deg P + 1 products.  The bivariate refinement, one x-adic solver in the
-size unit and psi, is not on that path; the tests fit rational
-functions to its coefficients as an independent derivation of the
-closed forms.
+deg P + 1 products.  ``RationalFunction`` holds exactly this shape.
+The bivariate refinement, one x-adic solver in the size unit and psi,
+is not on that path; the tests fit general rational functions to its
+y-slices (a Pade fit kept on the test side) as an independent
+derivation of the closed forms.
 
 All arithmetic is exact: integers inside, ``Fraction`` and
 ``PowerSeries`` only at the API boundary.  Sequences are cached at
@@ -445,8 +446,8 @@ def root_stat_gf(family: FamilyId, stat: StatKind, k: int) -> RationalFunction:
     each vertex, sum_v N(v, k) * (x/(1-x))**v, that is
     sum_v N(v, k) * x**v * (1-x)**(2k-1-v) over (1-x)**(2k-1), its
     numerator by Horner in (1-x) from the first nonzero term (for
-    psi = t**2 the only one).  ``bivariate_series`` with
-    ``fit_rational`` rederives these in the tests.
+    psi = t**2 the only one).  The tests rederive these by an exact
+    Pade fit, on the test side, to the y-slices of ``bivariate_series``.
     """
     desc, stat = descriptor(family), StatKind(stat)
     if k < 1:
@@ -488,13 +489,10 @@ def _psi_trees(geometric: bool, v: int, j: int) -> int:
 def _root_parts(family: FamilyId, stat: StatKind, k: int) -> "tuple[tuple[int, ...], int]":
     """Integer numerator P and exponent m with root GF = P / (1-x)**m."""
     root = root_stat_gf(family, stat, k)
-    m = root.one_minus_x_exponent()
-    if m is None:
-        raise SolverError(f"root expansion of {root} needs a power of (1-x) as denominator")
     for value in root.numerator:
         if value.denominator != 1:
             raise SolverError(f"non-integer root expansion coefficient {value}")
-    return tuple(value.numerator for value in root.numerator), m
+    return tuple(value.numerator for value in root.numerator), root.exponent
 
 
 @lru_cache(maxsize=None)

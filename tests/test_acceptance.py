@@ -28,6 +28,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from reference_asymptotics import schroeder_closed_forms
 
 from treecensus import (
     FamilyId,
@@ -46,7 +47,6 @@ from treecensus import (
     multiplier_gf,
     richardson_check,
     root_stat_gf,
-    schroeder_closed_forms,
     tightness_report,
     total_leaves,
     total_vertices,

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from reference_asymptotics import normalization_from_censuses, schroeder_closed_forms
 
 from treecensus import (
     BenderInput,
@@ -16,9 +17,7 @@ from treecensus import (
     counting_coefficient,
     limit_probability,
     normalization_constant,
-    normalization_from_censuses,
     richardson_check,
-    schroeder_closed_forms,
     tightness_report,
     total_leaves,
     total_vertices,

@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from reference_bivariate import ReferenceBivariate
 
 from treecensus import (
-    BivariateSeries,
     FamilyId,
     StatKind,
     TruncationError,
@@ -17,7 +17,7 @@ from treecensus import (
 
 
 def poly2(rows, nx, ny):
-    return BivariateSeries([[Fraction(c) for c in row] for row in rows], nx, ny)
+    return ReferenceBivariate([[Fraction(c) for c in row] for row in rows], nx, ny)
 
 
 def test_motzkin_small_coefficients():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from treecensus import FitError, LemmaInapplicableError, SeriesError, SolverError, cli, oracle
+from treecensus import DomainError, LemmaInapplicableError, SeriesError, SolverError, cli, oracle
 from treecensus.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -253,7 +253,7 @@ def test_verify_out_of_bounds_n_max_exit_code(argv, capsys, tmp_path, monkeypatc
         SeriesError("series failure"),
         SolverError("solver failure"),
         LemmaInapplicableError("lemma failure"),
-        FitError("fit failure"),
+        DomainError("domain failure"),
     ],
     ids=lambda err: type(err).__name__,
 )

@@ -10,10 +10,12 @@ from reference_families import (
     ref_counting,
     ref_multiplier,
     ref_phi,
+    ref_root_expansion,
     ref_root_stat_gf,
     ref_total_vertices,
     ref_vertex_totals,
 )
+from reference_ratfunc import FIT_MARGIN, fit_rational
 
 from treecensus import (
     FAMILIES,
@@ -35,7 +37,6 @@ from treecensus import (
     counting_series,
     families,
     finite_probability,
-    fit_rational,
     fixed_point_solve,
     max_stat_value,
     multiplier_gf,
@@ -46,7 +47,6 @@ from treecensus import (
 )
 from treecensus.families import Recurrence
 from treecensus.oracle import DEFAULT_BUDGETS
-from treecensus.ratfunc import FIT_MARGIN
 
 COUNTS = {
     FamilyId.MOTZKIN: [1, 1, 2, 4, 9, 21, 51],
@@ -392,7 +392,9 @@ def test_root_stat_gf_closed_forms_match_fit(family, stat):
     for k in range(1, 13):
         closed = root_stat_gf(family, stat, k)
         fitted = _fitted_root_gf(family, stat, k)
-        assert closed == fitted, (family, stat, k)
+        assert (closed.numerator, closed.denominator) == (fitted.numerator, fitted.denominator), (
+            family, stat, k,
+        )
         assert str(closed) == str(fitted)
 
 
@@ -448,8 +450,8 @@ def test_ordered_leaf_root_gf_expands_to_narayana_numbers():
         return comb(m, k) * comb(m, k - 1) // m
 
     for k in range(1, 41):
-        series = root_stat_gf(FamilyId.ORDERED, StatKind.LEAVES, k).expand(3 * k)
-        assert [series.coefficient(n) for n in range(1, 3 * k + 1)] == [
+        series = ref_root_expansion(FamilyId.ORDERED, StatKind.LEAVES, k, 3 * k)
+        assert series[1:] == [
             narayana(n - 1, k) for n in range(1, 3 * k + 1)
         ], k
 
@@ -491,7 +493,7 @@ def test_census_series_equals_root_expansion_times_multiplier(family, stat):
     order = 300
     mult = multiplier_gf(family, order)
     for k in range(1, 7):
-        expected = root_stat_gf(family, stat, k).expand(order).mul(mult, order)
+        expected = PowerSeries(ref_root_expansion(family, stat, k, order)).mul(mult, order)
         assert census_series(family, stat, k, order) == expected, k
 
 

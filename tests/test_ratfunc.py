@@ -1,29 +1,33 @@
-"""Rational-function reconstruction and exact evaluation."""
+"""Rational functions P/(1-x)**m, exact evaluation, and the reference fit."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from reference_ratfunc import (
+    FitError,
+    ReferenceRationalFunction,
+    _binomial_power_match,
+    fit_rational,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
+)
 
 from treecensus import (
     FamilyId,
-    FitError,
     PoleError,
     PowerSeries,
     QuadraticNumber,
     RationalFunction,
     TruncationError,
     bivariate_series,
-    fit_rational,
 )
 from treecensus.ratfunc import (
-    _binomial_power_match,
     one_minus_x_power,
-    poly_divmod,
     poly_eval,
     poly_from,
-    poly_gcd,
-    poly_mul,
     poly_scale,
     poly_text,
 )
@@ -66,7 +70,7 @@ def test_fit_requires_margin():
 
 def test_fit_failure_when_degrees_too_small():
     # coefficients of 1/((1-x)(1-2x)) are not degree-(0,1) rational
-    target = RationalFunction((1,), (1, -3, 2))
+    target = ReferenceRationalFunction((1,), (1, -3, 2))
     with pytest.raises(FitError):
         fit_rational(target.expand(20), 0, 1)
 
@@ -76,7 +80,7 @@ def test_fit_reexpansion_roundtrip_random():
     for _ in range(25):
         num = [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
         den = [Fraction(1)] + [Fraction(rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))]
-        target = RationalFunction(num, den)
+        target = ReferenceRationalFunction(num, den)
         order = len(num) + len(den) + 12
         series = target.expand(order)
         fitted = fit_rational(series, len(num), len(den))
@@ -109,7 +113,7 @@ def test_eval_pole():
 
 
 def test_expand_matches_series_division():
-    r = RationalFunction((0, 1), (1, -2))
+    r = ReferenceRationalFunction((0, 1), (1, -2))
     x = PowerSeries.monomial(1, 1, 10)
     assert r.expand(10) == x.div(PowerSeries.from_polynomial([1, -2], 10))
 
@@ -164,9 +168,62 @@ def test_eval_at_rational_point_matches_field_arithmetic():
     for _ in range(20):
         num = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))]
         den = [Fraction(1)] + [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
-        r = RationalFunction(num, den)
+        r = ReferenceRationalFunction(num, den)
         point = QuadraticNumber(Fraction(rng.randint(-5, 5), rng.randint(6, 12)), 0, 3)
         in_field = poly_eval(r.numerator, point) / poly_eval(r.denominator, point)
         value = r.eval(point)
         assert value == in_field
         assert value.radicand == in_field.radicand == 3
+    for _ in range(20):
+        num = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))]
+        r = RationalFunction(num, one_minus_x_power(rng.randint(0, 6)))
+        point = QuadraticNumber(Fraction(rng.randint(-5, 5), rng.randint(6, 12)), 0, 3)
+        in_field = poly_eval(r.numerator, point) / poly_eval(r.denominator, point)
+        value = r.eval(point)
+        assert value == in_field
+        assert value.radicand == in_field.radicand == 3
+
+
+def _one_minus_x_by_comb(m):
+    return tuple(Fraction((-1) ** i * comb(m, i)) for i in range(m + 1))
+
+
+def test_one_minus_x_power_is_the_binomial_expansion():
+    for m in range(0, 40):
+        assert one_minus_x_power(m) == _one_minus_x_by_comb(m), m
+        assert RationalFunction((1,), _one_minus_x_by_comb(m)).exponent == m
+
+
+@pytest.mark.parametrize("denominator", [(1, -2), (1, 0, -1), (2, -2), (1, -1, 0, 5), (), (0,)])
+def test_denominator_other_than_a_power_of_one_minus_x_is_rejected(denominator):
+    with pytest.raises(ValueError, match="not a power of"):
+        RationalFunction((1,), denominator)
+
+
+def test_denominator_is_read_only_and_rebuilt_from_the_exponent():
+    r = RationalFunction((0, 0, 1), (1, -3, 3, -1))
+    assert r.exponent == r.one_minus_x_exponent() == 3
+    assert r.denominator == _one_minus_x_by_comb(3)
+    with pytest.raises(AttributeError):
+        r.denominator = (1,)
+    with pytest.raises(AttributeError):
+        r.exponent = 0
+
+
+def test_one_minus_x_powers_match_the_reference_class():
+    # numerators vanishing at x = 1 to several orders, over (1-x)**m, m <= 12
+    rng = random.Random(41)
+    root3 = QuadraticNumber(Fraction(1, 5), Fraction(1, 7), 3)
+    for _ in range(200):
+        m = rng.randint(0, 12)
+        body = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        if not any(body):
+            body[-1] = Fraction(1)
+        numerator = poly_mul(poly_from(body), _one_minus_x_by_comb(rng.randint(0, m + 2)))
+        package = RationalFunction(numerator, _one_minus_x_by_comb(m))
+        reference = ReferenceRationalFunction(numerator, _one_minus_x_by_comb(m))
+        assert package.numerator == reference.numerator, (numerator, m)
+        assert package.denominator == reference.denominator, (numerator, m)
+        assert package.exponent == reference.one_minus_x_exponent(), (numerator, m)
+        assert str(package) == str(reference), (numerator, m)
+        assert package.eval(root3) == reference.eval(root3), (numerator, m)
