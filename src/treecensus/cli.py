@@ -60,15 +60,21 @@ _ERRATUM_FOR_ROW = {
 }
 
 
-def _parse_range(text: str) -> "list[int]":
+# The most values one --k or --n range may hold: far above any table worth
+# printing, and checked before the range is built or anything computed.
+MAX_RANGE_VALUES = 10_000
+
+
+def _parse_range(text: str) -> range:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(part) for part in text.split("..", 1))
     else:
-        values = [int(text)]
-    if not values:
+        lo = hi = int(text)
+    if hi < lo:
         raise ValueError(f"empty range {text!r}")
-    return values
+    if hi - lo >= MAX_RANGE_VALUES:
+        raise ValueError(f"range {text!r} has {hi - lo + 1} values, more than the {MAX_RANGE_VALUES} allowed")
+    return range(lo, hi + 1)
 
 
 # Members compare equal to their values (str enums), so plain value lists
@@ -460,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="limit-probability table for one family/statistic")
     p_table.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
     p_table.add_argument("--stat", type=_stat, required=True, choices=_STAT_CHOICES)
-    p_table.add_argument("--k", required=True, help="k value or range, e.g. 1..7")
+    p_table.add_argument("--k", required=True, help=f"k value or range, e.g. 1..7 (at most {MAX_RANGE_VALUES} values)")
     p_table.add_argument(
         "--paper-precision",
         action="store_true",
@@ -474,14 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("--series", choices=("counting", "multiplier", "census"), required=True)
     p_coeffs.add_argument("--stat", type=_stat, default=None, choices=_STAT_CHOICES)
     p_coeffs.add_argument("--k", type=int, default=None)
-    p_coeffs.add_argument("--n", required=True, help="index or range, e.g. 0..10")
+    p_coeffs.add_argument("--n", required=True, help=f"index or range, e.g. 0..10 (at most {MAX_RANGE_VALUES} values)")
     add_common(p_coeffs, precision=False)
     p_coeffs.set_defaults(func=_cmd_coeffs)
 
     p_prob = sub.add_parser("prob", help="finite-size or limiting probabilities")
     p_prob.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
     p_prob.add_argument("--stat", type=_stat, required=True, choices=_STAT_CHOICES)
-    p_prob.add_argument("--k", required=True, help="k value or range")
+    p_prob.add_argument("--k", required=True, help=f"k value or range (at most {MAX_RANGE_VALUES} values)")
     p_prob.add_argument("--n", type=int, default=None, help="tree size for a finite probability")
     p_prob.add_argument("--check", action="store_true", help="attach convergence diagnostics (json)")
     add_common(p_prob)

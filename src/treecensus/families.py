@@ -11,10 +11,12 @@ the vertices with two or more children: T = x*(1 + T + psi(T)) when
 vertices are counted, T = x + psi(T) when leaves are, with
 psi(t) = t**2 (Motzkin, full binary) or t**2/(1-t) (ordered,
 Schroeder).  ``fixed_point_solve`` solves that equation online in
-integers, one coefficient a step, and checks the result by applying the
-equation once more in integers, independently of the step rule: one
-convolution per family, a symmetric half-sum for t**2 and the inverse
-1/(1-s) for t**2/(1-t).
+integers, one coefficient a step, and checks each new coefficient by
+applying the equation once more in integers, independently of the step
+rule: one convolution per family, a symmetric half-sum for t**2 and the
+inverse 1/(1-s) for t**2/(1-t).  It holds one solve per family, the
+longest checked prefix, and extends it in place, so a request at a
+higher order pays only the new coefficients and their check.
 
 The census series for a subtree statistic factors as
 
@@ -39,13 +41,15 @@ derivation of the closed forms.
 
 All arithmetic is exact: integers inside, ``Fraction`` and
 ``PowerSeries`` only at the API boundary.  Sequences are cached at
-bucketed truncation orders and sliced down, so repeated queries at
-nearby orders share one computation.  Everything here is pure; caches
-only memoise deterministic values.  A family or statistic may be passed
-as its enum member or as the member's string; ``FamilyId`` and
-``StatKind`` are ``str`` enums, so a cache keys both alike, and every
-function that branches on one converts it to the member first, inside
-the cached body.
+bucketed truncation orders, or held at the longest order asked for
+(the fixed point), and sliced down, so repeated queries at nearby
+orders share one computation.  Everything here is pure; caches and
+held solves only memoise deterministic values, and ``clear_caches``
+drops them all.  A family or statistic may be passed as its enum
+member or as the member's string; ``FamilyId`` and ``StatKind`` are
+``str`` enums, so a cache keys both alike, and every function that
+branches on one converts it to the member first, inside the cached
+body (the held solves are keyed by the member).
 """
 
 from __future__ import annotations
@@ -273,78 +277,73 @@ def counting_coefficient(family: FamilyId, n: int) -> int:
 # -- functional equations --------------------------------------------------------
 
 
-def _phi(family: FamilyId, s: PowerSeries, order: int) -> PowerSeries:
-    """Phi(s) through x**order for a series with integer coefficients.
+def _phi_terms(desc: FamilyDescriptor, a: "Sequence[int]", g: "list[int]", start: int, order: int) -> "list[int]":
+    """Coefficients start..order (start >= 1) of Phi(s), s given by integers a_0..a_order.
 
     psi(s) takes one integer convolution over the final coefficients of
     s: for psi = t**2 the square as a symmetric half-sum, each pair
     i < k-i twice and the middle term once; for psi = t**2/(1-t) the
     inverse g = 1/(1-s) by g_k = sum_(i=1..k) s_i*g_(k-i), exact because
-    s_0 = 0, and then psi = g - 1 - s.  Nothing here shares code or
-    running arrays with the solver's step rule.  The order must be at
-    least 1 (else ``DomainError``), and s must be known through
-    x**order (else ``TruncationError``).
+    s_0 = 0, and then psi = g - 1 - s.  ``g`` starts as [1] and is
+    extended in place, so a later call can resume at the next
+    coefficient; the half-sum needs no array.  Nothing here shares code
+    or running arrays with the solver's step rule.
+    """
+    vertex_counted = desc.size_unit is StatKind.VERTICES
+    geometric = desc.geometric_psi
+    out = []
+    for m in range(start, order + 1):
+        k = m - 1 if vertex_counted else m  # Phi_m needs psi_k
+        if geometric:
+            for j in range(len(g), k + 1):
+                g.append(sum(map(_times, a[1 : j + 1], g[j - 1 :: -1])))
+            psi = g[k] - a[k] if k else 0  # g_0 - 1 - s_0 = 0
+        else:  # the pairs (i, k - i) with i < k - i twice, then the middle term once
+            psi = 2 * sum(map(_times, a[: (k + 1) // 2], a[k : k // 2 : -1]))
+            if k % 2 == 0:
+                psi += a[k // 2] ** 2
+        value = a[m - 1] + psi if vertex_counted else psi  # x*(1 + s + psi(s)) or x + psi(s)
+        out.append(value + 1 if m == 1 else value)
+    return out
+
+
+def _phi(family: FamilyId, s: PowerSeries, order: int) -> PowerSeries:
+    """Phi(s) through x**order for a series with integer coefficients.
+
+    The constant term is 0 for a vertex-counted family and psi_0 = s_0**2
+    for a leaf-counted one; ``_phi_terms`` gives the rest.  The order
+    must be at least 1 (else ``DomainError``), and s must be known
+    through x**order (else ``TruncationError``).
     """
     desc = descriptor(family)
     if order < 1:
         raise DomainError("order must be at least 1")
     if order > s.truncation_order:
         raise TruncationError(f"order {order} exceeds truncation {s.truncation_order}")
-    vertex_counted = desc.size_unit is StatKind.VERTICES
     coefficients = s.coefficients[: order + 1]
     if any(c.denominator != 1 for c in coefficients):
         raise SolverError("Phi(s) needs s with integer coefficients")
     a = [c.numerator for c in coefficients]
     if desc.geometric_psi and a[0]:
         raise SolverError("psi(s) = s**2/(1-s) needs s with zero constant term")
-    top = order - 1 if vertex_counted else order
-    if desc.geometric_psi:
-        g = [1]
-        for k in range(1, top + 1):
-            g.append(sum(map(_times, a[1 : k + 1], g[k - 1 :: -1])))
-        psi = [0, *map(_minus, g[1:], a[1:])]  # g_0 - 1 - s_0 = 0
-    else:  # the pairs (i, k - i) with i < k - i twice, then the middle terms once
-        psi = [2 * sum(map(_times, a[: (k + 1) // 2], a[k : k // 2 : -1])) for k in range(top + 1)]
-        for k in range(0, top + 1, 2):
-            psi[k] += a[k // 2] ** 2
-    if vertex_counted:  # x*(1 + s + psi(s))
-        return PowerSeries([0, 1 + a[0] + psi[0], *map(_plus, a[1:order], psi[1:])])
-    psi[1] += 1  # x + psi(s)
-    return PowerSeries(psi)
+    head = 0 if desc.size_unit is StatKind.VERTICES else a[0] ** 2
+    return PowerSeries([head, *_phi_terms(desc, a, [1], 1, order)])
 
 
-@lru_cache(maxsize=None)
-def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
-    """Solve the family's functional equation s = Phi(s) online.
+def _step(desc: FamilyDescriptor, s: "list[int]", psi: "list[int]", s_plus_psi: "list[int]", order: int) -> None:
+    """Extend the solver's running arrays in place until s holds s_0..s_order.
 
-    A vertex-counted family has Phi(s) = x*(1 + s + psi(s)), a
-    leaf-counted one Phi(s) = x + psi(s), with psi(t) = t**2 or
-    t**2/(1-t) as the descriptor's ``geometric_psi`` says.  Coefficient
-    m of Phi(s) depends only on s_1..s_(m-1), so step m pins s_m from
-    the lower coefficients, with one running integer array for what
-    psi needs: psi(s) = s**2, its symmetric sum taken once, or
+    Coefficient m of Phi(s) depends only on s_1..s_(m-1), so step m pins
+    s_m from the lower coefficients, with one running integer array for
+    what psi needs: psi(s) = s**2, its symmetric sum taken once, or
     psi(s) = s**2/(1-s) = s*(s + psi(s)), one convolution against the
-    running s + psi(s).  The whole solve is O(order**2) integer work.
-    ``_phi`` then applies Phi once more, from the result's coefficients
-    and independently of the step rule (psi = s**2 as a half-sum over
-    the final coefficients, or psi = 1/(1-s) - 1 - s), one convolution
-    of about the step rule's cost, and must reproduce every coefficient
-    0..order exactly, otherwise the equation was mis-encoded and
-    ``SolverError`` is raised.  Returns the unique solution with zero
-    constant term.
+    running s + psi(s).
     """
-    if order < 1:
-        raise DomainError("order must be at least 1")
-    desc = descriptor(family)
     vertex_counted = desc.size_unit is StatKind.VERTICES
-    geometric = desc.geometric_psi
-    s = [0]
-    psi = [0]  # psi(s); s_m needs psi_(m-1) when vertex-counted, psi_m otherwise
-    s_plus_psi = []  # when psi(s) = s*(s + psi(s))
-    for m in range(1, order + 1):
-        j = m - 1 if vertex_counted else m
+    for m in range(len(s), order + 1):
+        j = m - 1 if vertex_counted else m  # s_m needs psi_j
         if j == len(psi):
-            if geometric:
+            if desc.geometric_psi:
                 s_plus_psi.append(s[j - 1] + psi[j - 1])
                 pj = sum(map(_times, s[1:j], s_plus_psi[j - 1 : 0 : -1]))
             else:  # the pairs (i, j - i) with i < j/2 twice, the middle once
@@ -354,12 +353,65 @@ def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
             psi.append(pj)
         sm = psi[j] + (s[m - 1] if vertex_counted else 0)
         s.append(sm + 1 if m == 1 else sm)
-    result = PowerSeries(s)
-    if _phi(desc.id, result, order) != result:
+
+
+class _Solve(NamedTuple):
+    """One family's checked fixed point through x**(len(s) - 1).
+
+    ``s``, ``psi`` and ``s_plus_psi`` are the step rule's running
+    arrays, ``g`` the check's own (1/(1-s), used only for geometric
+    psi), and ``series`` is s as a ``PowerSeries``.
+    """
+
+    s: "list[int]"
+    psi: "list[int]"
+    s_plus_psi: "list[int]"
+    g: "list[int]"
+    series: PowerSeries
+
+
+_COLD = _Solve([0], [0], [], [1], PowerSeries([0]))  # never mutated: an extension works on copies
+
+# The longest checked solve of each family; ``clear_caches`` drops them.
+# A stored solve is complete and never mutated, so two threads extending
+# one family at once can at worst leave the shorter of their two solves.
+_held_solves: "dict[FamilyId, _Solve]" = {}
+
+
+def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
+    """Solve the family's functional equation s = Phi(s) online.
+
+    A vertex-counted family has Phi(s) = x*(1 + s + psi(s)), a
+    leaf-counted one Phi(s) = x + psi(s), with psi(t) = t**2 or
+    t**2/(1-t) as the descriptor's ``geometric_psi`` says.  ``_step``
+    pins s_m from s_1..s_(m-1), O(order**2) integer work in all.
+
+    Each family holds one solve, its longest checked prefix.  A request
+    at or below its order is a slice of it.  A request above it
+    continues the step rule from there on copies of the running arrays,
+    and ``_phi_terms`` applies Phi once more to the new coefficients
+    only, from the final coefficients and independently of the step
+    rule (psi = s**2 as a half-sum, or psi = 1/(1-s) - 1 - s with its
+    own running g); each must be reproduced exactly, otherwise the
+    equation was mis-encoded, ``SolverError`` is raised and the held
+    prefix stays as it was.  So every coefficient returned has passed
+    the check once, and repeated queries at nearby orders share one
+    solve.  Returns the unique solution with zero constant term.
+    """
+    if order < 1:
+        raise DomainError("order must be at least 1")
+    desc = descriptor(family)
+    held = _held_solves.get(desc.id, _COLD)
+    top = len(held.s) - 1
+    if order <= top:
+        return held.series if order == top else held.series.truncate(order)
+    s, psi, s_plus_psi, g = held.s[:], held.psi[:], held.s_plus_psi[:], held.g[:]
+    _step(desc, s, psi, s_plus_psi, order)
+    if _phi_terms(desc, s, g, top + 1, order) != s[top + 1 :]:
         raise SolverError(f"fixed point for {desc.id} did not stabilise at order {order}")
-    if result.coefficient(0) != 0:
-        raise SolverError(f"fixed point for {desc.id} has nonzero constant term")
-    return result
+    series = PowerSeries([*held.series.coefficients, *s[top + 1 :]])
+    _held_solves[desc.id] = _Solve(s, psi, s_plus_psi, g, series)
+    return series
 
 
 # -- bivariate refinement ----------------------------------------------------------
@@ -634,7 +686,6 @@ def census_table_from_series(family: FamilyId, stat: StatKind, n_max: int) -> Ce
 _CACHED = (
     _counting_integers,
     _multiplier_integers,
-    fixed_point_solve,
     _bivariate_bucketed,
     root_stat_gf,
     _root_parts,
@@ -645,13 +696,15 @@ _CACHED = (
 def clear_caches() -> None:
     """Drop every cached value, so the next call of each function runs cold.
 
-    Empties this module's caches and, if ``treecensus.oracle`` is already
-    imported, the oracle's census cache and its held enumeration; it
-    never imports the oracle.  Cached values are pure, so clearing
-    changes no result, only the time to the next one.
+    Empties this module's caches and its held fixed-point solves and,
+    if ``treecensus.oracle`` is already imported, the oracle's census
+    cache and its held enumeration; it never imports the oracle.  Cached
+    values are pure, so clearing changes no result, only the time to the
+    next one.
     """
     for cached in _CACHED:
         cached.cache_clear()
+    _held_solves.clear()
     oracle = sys.modules.get(f"{__package__}.oracle")
     if oracle is not None:
         oracle._clear_caches()

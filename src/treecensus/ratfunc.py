@@ -38,10 +38,6 @@ def poly_from(coeffs: Sequence[Union[int, Fraction]]) -> Poly:
     return poly_trim([Fraction(c) for c in coeffs])
 
 
-def poly_scale(a: Poly, factor: Fraction) -> Poly:
-    return poly_trim([factor * c for c in a])
-
-
 def _signed_binomials(m: int) -> "list[int]":
     """(-1)**i * C(m, i) for i = 0..m, by C(m, i+1) = C(m, i)*(m-i)/(i+1)."""
     out = [1]
@@ -122,18 +118,11 @@ class RationalFunction:
         return one_minus_x_power(self.exponent)
 
     @staticmethod
-    def zero() -> "RationalFunction":
-        return RationalFunction(())
-
-    @staticmethod
     def monomial(coefficient: Union[int, Fraction], power: int) -> "RationalFunction":
         return RationalFunction([0] * power + [coefficient])
 
     def is_zero(self) -> bool:
         return not self.numerator
-
-    def is_polynomial(self) -> bool:
-        return self.exponent == 0
 
     def one_minus_x_exponent(self) -> int:
         """m, the power of (1-x) in the denominator (0 for a polynomial)."""
@@ -146,9 +135,6 @@ class RationalFunction:
 
     def __hash__(self):
         return hash((self.numerator, self.exponent))
-
-    def scale(self, factor: Union[int, Fraction]) -> "RationalFunction":
-        return RationalFunction(poly_scale(self.numerator, Fraction(factor)), self.denominator)
 
     def eval(self, point) -> QuadraticNumber:
         """Exact value at a point of a quadratic field (or a rational)."""

@@ -45,7 +45,8 @@ class PowerSeries:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[Coefficient]):
-        coeffs = tuple(Fraction(c) for c in coefficients)
+        # a Fraction is immutable, so one given as such is kept, not rebuilt
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients)
         if not coeffs:
             raise ValueError("a series needs at least the constant term")
         object.__setattr__(self, "coefficients", coeffs)

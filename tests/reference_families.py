@@ -26,6 +26,8 @@ from itertools import accumulate
 from math import comb
 from operator import add, mul
 
+from reference_ratfunc import rational_zero
+
 from treecensus import (
     BivariateSeries,
     FamilyId,
@@ -235,7 +237,7 @@ def ref_root_stat_gf(family: FamilyId, stat: StatKind, k: int) -> RationalFuncti
         return RationalFunction.monomial(counting_coefficient(family, k), k)
     if family is FamilyId.FULL_BINARY:
         if k % 2 == 0:
-            return RationalFunction.zero()
+            return rational_zero()
         j = (k + 1) // 2
         return RationalFunction.monomial(counting_coefficient(family, j), j)
     if family is FamilyId.SCHROEDER:

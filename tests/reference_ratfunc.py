@@ -8,7 +8,8 @@ denominator's linear recurrence.  ``fit_rational`` recovers such a
 function from a truncated series by exact Gaussian elimination; the
 tests fit the bivariate series' y-slices with it, an independent
 derivation of the package's closed-form root GFs.  The polynomial
-helpers the package keeps are imported, not copied.
+helpers the package keeps are imported, not copied; ``poly_scale`` and
+the ``rational_*`` helpers, which no package path runs, live here.
 """
 
 from fractions import Fraction
@@ -20,10 +21,10 @@ from treecensus.quadratic import QuadraticNumber
 from treecensus.ratfunc import (
     PoleError,
     Poly,
+    RationalFunction,
     one_minus_x_power,
     poly_eval,
     poly_from,
-    poly_scale,
     poly_text,
     poly_trim,
 )
@@ -42,6 +43,10 @@ class FitError(Exception):
 def poly_degree(p: Poly) -> int:
     """Degree, with the zero polynomial mapped to -1."""
     return len(p) - 1
+
+
+def poly_scale(a: Poly, factor: Fraction) -> Poly:
+    return poly_trim([factor * c for c in a])
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -219,6 +224,21 @@ def _binomial_power_match(den: Poly, m: int) -> "int | None":
         if c != (-1) ** i * comb(m, i):
             return None
     return m
+
+
+# -- members of the package's P/(1-x)**m that only the tests use -------------------
+
+
+def rational_zero() -> RationalFunction:
+    return RationalFunction(())
+
+
+def rational_is_polynomial(r: RationalFunction) -> bool:
+    return r.exponent == 0
+
+
+def rational_scale(r: RationalFunction, factor: Union[int, Fraction]) -> RationalFunction:
+    return RationalFunction(poly_scale(r.numerator, Fraction(factor)), r.denominator)
 
 
 # -- rational reconstruction -----------------------------------------------------

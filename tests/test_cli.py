@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output, determinism, exit codes."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -310,6 +311,35 @@ def _assert_one_line_error(code, captured, start="error: "):
     assert captured.err.startswith(start)
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_over_long_range_exits_2_before_building_it(capsys, monkeypatch):
+    # 10**11 values: refused from the two ends alone, before a list of them
+    # exists or a first probability is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("a probability was computed")
+
+    monkeypatch.setattr(cli, "limit_probability", refuse)
+    monkeypatch.setattr(cli, "finite_probability", refuse)
+    tracemalloc.start()
+    try:
+        code = main(["prob", "--family", "ordered", "--stat", "leaves", "--k", "1..100000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_one_line_error(code, capsys.readouterr(), "error: range '1..100000000000' has 100000000000 values")
+    assert peak < 1 << 20
+
+
+def test_range_bound_is_exact_and_in_help(capsys):
+    assert cli._parse_range(f"5..{cli.MAX_RANGE_VALUES + 4}") == range(5, cli.MAX_RANGE_VALUES + 5)
+    with pytest.raises(ValueError, match="more than the"):
+        cli._parse_range(f"5..{cli.MAX_RANGE_VALUES + 5}")
+    assert cli._parse_range("7") == range(7, 8)
+    for command in ("table", "coeffs", "prob"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"(at most {cli.MAX_RANGE_VALUES} values)" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize(

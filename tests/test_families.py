@@ -1,5 +1,6 @@
 """Counting series, functional equations, multipliers and censuses."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -87,24 +88,116 @@ def test_fixed_point_examples():
 
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_fixed_point_raises_when_phi_disagrees_with_online_rule(family, monkeypatch):
-    real_phi = families._phi
+    real_terms = families._phi_terms
 
-    def perturbed(fam, s, order):
-        return real_phi(fam, s, order) + PowerSeries.monomial(1, order, order)
+    def perturbed(desc, a, g, start, order):
+        terms = real_terms(desc, a, g, start, order)
+        terms[-1] += 1
+        return terms
 
-    monkeypatch.setattr(families, "_phi", perturbed)
-    fixed_point_solve.cache_clear()
+    clear_caches()
+    monkeypatch.setattr(families, "_phi_terms", perturbed)
     with pytest.raises(SolverError, match="did not stabilise"):
-        fixed_point_solve(family, 9)
+        fixed_point_solve(family, 9)  # cold
+    monkeypatch.setattr(families, "_phi_terms", real_terms)
+    assert fixed_point_solve(family, 9) == counting_series(family, 9)
+    monkeypatch.setattr(families, "_phi_terms", perturbed)
+    with pytest.raises(SolverError, match="did not stabilise"):
+        fixed_point_solve(family, 11)  # an extension of the held prefix
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_a_wrong_coefficient_raises_and_keeps_the_checked_prefix(family, monkeypatch):
+    real_step = families._step
+
+    def wrong_at_40(desc, s, psi, s_plus_psi, order):
+        # s_40 one too large, and the step rule goes on from it, so every
+        # later coefficient agrees with it; only the check of s_40 sees it
+        if len(s) <= 40 <= order:
+            real_step(desc, s, psi, s_plus_psi, 40)
+            s[40] += 1
+        real_step(desc, s, psi, s_plus_psi, order)
+
+    clear_caches()
+    monkeypatch.setattr(families, "_step", wrong_at_40)
+    with pytest.raises(SolverError, match="did not stabilise at order 50"):
+        fixed_point_solve(family, 50)  # cold
+    assert family not in families._held_solves
+    assert fixed_point_solve(family, 30) == counting_series(family, 30)
+    with pytest.raises(SolverError, match="did not stabilise at order 50"):
+        fixed_point_solve(family, 50)  # the extension 30 -> 50
+    assert families._held_solves[family].series == counting_series(family, 30)
+    assert len(families._held_solves[family].s) == 31
+    assert fixed_point_solve(family, 39) == counting_series(family, 39)
+    with pytest.raises(SolverError, match="did not stabilise at order 40"):
+        fixed_point_solve(family, 40)  # s_40 is the first and only new coefficient
+    assert families._held_solves[family].series == counting_series(family, 39)
+    monkeypatch.setattr(families, "_step", real_step)
+    assert fixed_point_solve(family, 20) == counting_series(family, 20)
+    assert fixed_point_solve(family, 50) == counting_series(family, 50)
+    assert families._held_solves[family].series == counting_series(family, 50)
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_fixed_point_matches_counting_series_at_every_order(family):
     # spans the orders the benchmark solves (48-82) and the parity of every
     # middle square term
-    fixed_point_solve.cache_clear()
+    clear_caches()
     for order in range(1, 101):
         assert fixed_point_solve(family, order) == counting_series(family, order), order
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_fixed_point_resumes_over_random_order_sequences(family):
+    rng = random.Random(1601)
+    counting = counting_series(family, 150)
+    up = sorted(rng.sample(range(1, 151), 24))
+    sequences = {
+        "up": up,
+        "down": up[::-1],
+        "repeated": [rng.choice(up[:8]) for _ in range(24)],
+        "shuffled": rng.sample(range(1, 151), 40),
+        "1..150": list(range(1, 151)),
+    }
+    for name, orders in sequences.items():
+        clear_caches()
+        for order in orders:
+            assert fixed_point_solve(family, order) == counting.truncate(order), (name, order)
+        assert families._held_solves[family].series == counting.truncate(max(orders)), name
+
+
+def test_string_and_member_share_one_held_solve():
+    clear_caches()
+    solved = fixed_point_solve("motzkin", 30)
+    assert list(families._held_solves) == [FamilyId.MOTZKIN]
+    assert fixed_point_solve(FamilyId.MOTZKIN, 30) is solved
+    longer = fixed_point_solve(FamilyId.MOTZKIN, 40)
+    assert fixed_point_solve("motzkin", 40) is longer
+    assert list(families._held_solves) == [FamilyId.MOTZKIN]
+    assert fixed_point_solve("motzkin", 30) == solved
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_incremental_check_equals_phi(family):
+    # the check the solver runs, resumed in random chunks, against the
+    # whole-range _phi, coefficient by coefficient; each chunk sees only
+    # the coefficients through its own top order
+    rng = random.Random(1602)
+    desc = FAMILIES[family]
+    order = 100
+    counting = counting_series(family, order)
+    moved = counting + PowerSeries.monomial(1, 37, order) - PowerSeries.monomial(2, 62, order)
+    for s in (counting, moved):
+        a = [int(c) for c in s.coefficients]
+        whole = families._phi(family, s, order).coefficients
+        g, terms, done = [1], [whole[0]], 0
+        while done < order:
+            top = min(order, done + rng.randint(1, 9))
+            terms += families._phi_terms(desc, a[: top + 1], g, done + 1, top)
+            done = top
+        assert len(terms) == len(whole)
+        for m, (resumed, full) in enumerate(zip(terms, whole)):
+            assert resumed == full, (m, s is moved)
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
@@ -145,7 +238,7 @@ def test_phi_needs_an_order_from_one_to_the_truncation(family):
 
 def test_clear_caches_empties_every_cache():
     cached = [value for value in vars(families).values() if hasattr(value, "cache_clear")]
-    assert len(cached) == 7
+    assert len(cached) == 6
     for family in FamilyId:
         fixed_point_solve(family, 10)
         multiplier_gf(family, 10)
@@ -153,9 +246,11 @@ def test_clear_caches_empties_every_cache():
         census_coefficient(family, StatKind.LEAVES, 2, 30)
     aggregate_census(FamilyId.MOTZKIN, 5, StatKind.VERTICES)
     assert all(value.cache_info().currsize for value in cached)
+    assert len(families._held_solves) == 4
     assert oracle._aggregate.cache_info().currsize and oracle._held is not None
     clear_caches()
-    assert [value.cache_info().currsize for value in cached] == [0] * 7
+    assert [value.cache_info().currsize for value in cached] == [0] * 6
+    assert families._held_solves == {}
     assert oracle._aggregate.cache_info().currsize == 0 and oracle._held is None
     assert fixed_point_solve(FamilyId.SCHROEDER, 10) == counting_series(FamilyId.SCHROEDER, 10)
 
@@ -205,9 +300,14 @@ def test_census_coefficient_rejects_non_integral_multiplier(monkeypatch):
     motzkin = families.FAMILIES[FamilyId.MOTZKIN]
     halving = Recurrence((1,), ((2,), (1,)))
     monkeypatch.setitem(families.FAMILIES, FamilyId.MOTZKIN, motzkin._replace(multiplier=halving))
-    families._multiplier_integers.cache_clear()
-    with pytest.raises(SolverError, match="multiplier"):
-        census_coefficient(FamilyId.MOTZKIN, StatKind.VERTICES, 1, 3)
+    # census_coefficient reads the multiplier through _multiplier_sums, so
+    # every cache goes, not only _multiplier_integers
+    clear_caches()
+    try:
+        with pytest.raises(SolverError, match="multiplier"):
+            census_coefficient(FamilyId.MOTZKIN, StatKind.VERTICES, 1, 3)
+    finally:
+        clear_caches()
 
 
 def test_multiplier_values():

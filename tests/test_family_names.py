@@ -17,6 +17,7 @@ from treecensus import (
     census_coefficient,
     census_series,
     census_table_from_series,
+    clear_caches,
     descriptor,
     enumerate_trees,
     finite_probability,
@@ -29,7 +30,6 @@ from treecensus import (
     total_vertices,
     verify_family,
 )
-from treecensus import families, oracle
 
 # Each public call that reaches a branch on a family or a statistic; the
 # second element says whether it takes a statistic.
@@ -52,29 +52,14 @@ CALLS = {
 }
 
 
-def _clear_caches(monkeypatch):
-    for cached in (
-        families.root_stat_gf,
-        families.fixed_point_solve,
-        families._bivariate_bucketed,
-        families._root_parts,
-        families._multiplier_sums,
-        families._counting_integers,
-        families._multiplier_integers,
-        oracle._aggregate,
-    ):
-        cached.cache_clear()
-    monkeypatch.setattr(oracle, "_held", None)
-
-
 @pytest.mark.parametrize("name", sorted(CALLS))
-def test_string_names_give_the_enum_values(name, monkeypatch):
+def test_string_names_give_the_enum_values(name):
     call, takes_stat = CALLS[name]
     for family in FamilyId:
         for stat in list(StatKind) if takes_stat else [StatKind.VERTICES]:
-            _clear_caches(monkeypatch)
+            clear_caches()
             expected = call(family, stat)
-            _clear_caches(monkeypatch)
+            clear_caches()
             assert call(family.value, stat.value) == expected, (family, stat)
             assert call(family.value, stat) == expected, (family, stat)
             assert call(family, stat.value) == expected, (family, stat)

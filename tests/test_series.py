@@ -116,6 +116,18 @@ def test_coefficient_access_and_truncation():
     assert a.extended(4).coefficients[3:] == (0, 0)
 
 
+def test_constructor_keeps_fractions_and_converts_the_rest():
+    class Third(Fraction):
+        pass
+
+    half = Fraction(1, 2)
+    s = PowerSeries([half, 3, Third(1, 3), "1/4"])
+    assert s.coefficients == (Fraction(1, 2), Fraction(3), Fraction(1, 3), Fraction(1, 4))
+    assert [type(c) for c in s.coefficients] == [Fraction] * 4
+    assert s.coefficients[0] is half
+    assert s.truncate(1).coefficients[0] is half
+
+
 def test_valuation():
     assert series(0, 0, 5).valuation() == 2
     assert PowerSeries.zero(3).valuation() is None
