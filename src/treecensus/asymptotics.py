@@ -73,10 +73,10 @@ def normalization_constant(family: FamilyId) -> QuadraticNumber:
     """Exact K(family): Motzkin 1, ordered 2, full binary 2,
     Schroeder 2 + sqrt(2).
 
-    Each constant equals the limit of (multiplier coefficient n) over
-    (vertex total at n); the Richardson oracle in the test suite
-    re-derives every value from finite-size censuses before it is
-    trusted here.
+    K = 1/T(rho), derived from the functional equation.  Each constant
+    equals the limit of (multiplier coefficient n) over (vertex total
+    at n); the Richardson oracle in the test suite re-derives every
+    value from finite-size censuses.
     """
     return descriptor(family).normalization
 
@@ -102,12 +102,7 @@ class AsymptoticProbability(NamedTuple):
 
 def _exact_limit(family: FamilyId, stat: StatKind, k: int) -> QuadraticNumber:
     desc = descriptor(family)
-    inp = BenderInput(
-        gf=root_stat_gf(family, stat, k),
-        ratio_limit=desc.singularity,
-        normalization=desc.normalization,
-    )
-    return bender_limit(inp)
+    return bender_limit(BenderInput(root_stat_gf(family, stat, k), desc.singularity, desc.normalization))
 
 
 def limit_probability(
@@ -183,16 +178,13 @@ class TightnessReport(NamedTuple):
 def tightness_report(family: FamilyId, stat: StatKind, k_max: int) -> TightnessReport:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    d = descriptor(family).radicand
     terms = tuple(_exact_limit(family, stat, k) for k in range(1, k_max + 1))
-    partial = QuadraticNumber(0, 0, d)
-    for t in terms:
-        partial = partial + t
+    partial = sum(terms, QuadraticNumber(0))
     return TightnessReport(
         family=FamilyId(family),
         stat=StatKind(stat),
         k_max=k_max,
         terms=terms,
         partial_sum=partial,
-        deficiency=QuadraticNumber(1, 0, d) - partial,
+        deficiency=1 - partial,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import accumulate
 
 from . import __version__
 from .asymptotics import LemmaInapplicableError, limit_probability, tightness_report
@@ -28,13 +29,11 @@ from .families import (
     census_coefficient,
     census_series,
     counting_series,
-    descriptor,
     finite_probability,
     max_stat_value,
     multiplier_gf,
     root_stat_gf,
 )
-from .quadratic import QuadraticNumber
 from .render import (
     DEFAULT_PRECISION,
     decimal_places,
@@ -413,9 +412,7 @@ def _cmd_tightness(args) -> int:
     headers = ["k", "term", "partial_sum"]
     rows = []
     json_terms = []
-    partial = QuadraticNumber(0, 0, descriptor(args.family).radicand)
-    for k, term in enumerate(report.terms, start=1):
-        partial = partial + term
+    for k, (term, partial) in enumerate(zip(report.terms, accumulate(report.terms)), start=1):
         rows.append(
             [str(k), decimal_string(term, args.precision), decimal_string(partial, args.precision)]
         )

@@ -1,16 +1,14 @@
 """The four planar tree families and their generating functions.
 
-Each family carries a counting series and a "multiplier" transfer
-series, both given by integer P-recurrences (the series are algebraic,
-hence D-finite), a functional equation for the counting series, and a
-bivariate refinement tracking vertices and leaves at once.
-
-All four families are simply generated, so the functional equation
-follows from two descriptor fields, the size unit and psi, which counts
-the vertices with two or more children: T = x*(1 + T + psi(T)) when
-vertices are counted, T = x + psi(T) when leaves are, with
-psi(t) = t**2 (Motzkin, full binary) or t**2/(1-t) (ordered,
-Schroeder).  ``fixed_point_solve`` solves that equation online in
+All four families are simply generated, so two descriptor fields, the
+size unit and psi, which counts the vertices with two or more children,
+give the functional equation: T = x*(1 + T + psi(T)) when vertices are
+counted, T = x + psi(T) when leaves are, with psi(t) = t**2 (Motzkin,
+full binary) or t**2/(1-t) (ordered, Schroeder).  Everything else
+follows from it.  It is quadratic in T, so the counting series and the
+"multiplier" transfer series are both affine in one radical
+S = 1/sqrt(Delta), whose smallest positive root gives rho and K
+(``_spec``).  ``fixed_point_solve`` solves the equation online in
 integers, one coefficient a step, and checks each new coefficient by
 applying the equation once more in integers, independently of the step
 rule: one convolution per family, a symmetric half-sum for t**2 and the
@@ -91,109 +89,39 @@ class StatKind(str, Enum):
     LEAVES = "leaves"
 
 
-class Recurrence:
-    """An integer sequence given by a P-recurrence.
-
-    p_0(n)*a_n = p_1(n)*a_(n-1) + ... + p_r(n)*a_(n-r) for every
-    n >= len(initial).  ``initial`` holds a_0, a_1, ...; ``polynomials``
-    holds p_0..p_r, each as integer coefficients in ascending powers
-    of n.
-    """
-
-    __slots__ = ("initial", "polynomials")
-
-    def __init__(self, initial: "tuple[int, ...]", polynomials: "tuple[tuple[int, ...], ...]"):
-        self.initial = initial
-        self.polynomials = polynomials
-
-
-# n*t_n = 2(2n-3)*t_(n-1): the Catalan numbers shifted by one
-_SHIFTED_CATALAN = Recurrence((0, 1), ((0, 1), (-6, 4)))
-
-
 class FamilyDescriptor(NamedTuple):
-    """Constants attached to one tree family.
+    """One tree family; its size unit and psi determine everything else.
 
-    ``size_unit`` is what the counting variable x enumerates;
-    ``bivariate_y`` is the statistic tracked by y in the bivariate
-    refinement (always the other one).  With ``geometric_psi`` they
-    give the functional equation: T = x*(1 + T + psi(T)) when vertices
-    are counted and T = x + psi(T) when leaves are, where psi counts
-    the vertices with two or more children: psi(t) = t**2/(1-t) (any
-    number from two on) if ``geometric_psi`` is set and t**2 (exactly
-    two) otherwise; the root-statistic GFs and the bivariate refinement
-    follow from the same two fields.  ``singularity`` is the radius of
-    convergence of the family's square-root factor and ``normalization``
-    the exact constant K with limit probability = (root GF at
-    singularity) * K.  ``counting`` and ``multiplier`` give the
-    coefficients of the counting series and of the multiplier.
+    ``size_unit`` is what x enumerates; ``bivariate_y`` is the statistic
+    y tracks in the bivariate refinement (the other one).  psi counts
+    the vertices with two or more children: t**2/(1-t) (any number from
+    two on) if ``geometric_psi`` is set, else t**2 (exactly two).  The
+    derived ``singularity`` rho and ``normalization`` K (limit
+    probability = root GF at rho, times K) come from ``_spec``.
     """
 
     id: FamilyId
     size_unit: StatKind
     geometric_psi: bool
-    radicand: int
-    singularity: QuadraticNumber
-    normalization: QuadraticNumber
-    counting: Recurrence
-    multiplier: Recurrence
 
     @property
     def bivariate_y(self) -> StatKind:
         return StatKind.LEAVES if self.size_unit is StatKind.VERTICES else StatKind.VERTICES
 
+    @property
+    def singularity(self) -> QuadraticNumber:
+        return _spec(self).singularity
+
+    @property
+    def normalization(self) -> QuadraticNumber:
+        return _spec(self).normalization
+
 
 FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
-    FamilyId.MOTZKIN: FamilyDescriptor(
-        id=FamilyId.MOTZKIN,
-        size_unit=StatKind.VERTICES,
-        geometric_psi=False,
-        radicand=2,
-        singularity=QuadraticNumber(Fraction(1, 3)),
-        normalization=QuadraticNumber(1),
-        # (n+1)*t_n = (2n-1)*t_(n-1) + 3(n-2)*t_(n-2)
-        counting=Recurrence((0, 1), ((1, 1), (-1, 2), (-6, 3))),
-        # n*m_n = (2n-1)*m_(n-1) + 3(n-1)*m_(n-2): central trinomial coefficients
-        multiplier=Recurrence((1, 1), ((0, 1), (-1, 2), (-3, 3))),
-    ),
-    FamilyId.ORDERED: FamilyDescriptor(
-        id=FamilyId.ORDERED,
-        size_unit=StatKind.VERTICES,
-        geometric_psi=True,
-        radicand=2,
-        singularity=QuadraticNumber(Fraction(1, 4)),
-        normalization=QuadraticNumber(2),
-        counting=_SHIFTED_CATALAN,
-        # n*m_n = 2(2n-1)*m_(n-1) for n >= 2: half the central binomials
-        multiplier=Recurrence((1, 1), ((0, 1), (-2, 4))),
-    ),
-    FamilyId.FULL_BINARY: FamilyDescriptor(
-        id=FamilyId.FULL_BINARY,
-        size_unit=StatKind.LEAVES,
-        geometric_psi=False,
-        radicand=2,
-        singularity=QuadraticNumber(Fraction(1, 4)),
-        normalization=QuadraticNumber(2),
-        counting=_SHIFTED_CATALAN,
-        # n*m_n = 2(2n-1)*m_(n-1): central binomials, m_n = (n+1)*t_(n+1)
-        multiplier=Recurrence((1,), ((0, 1), (-2, 4))),
-    ),
-    # The leaf fraction of a size-n tree lies in (1/2, 1], which pins the
-    # normalization: mean vertices per leaf tend to 1 + sqrt(2)/2, hence
-    # K = 2 + sqrt(2).  The Richardson oracle in the asymptotics tests
-    # rederives this constant from finite-size censuses.
-    FamilyId.SCHROEDER: FamilyDescriptor(
-        id=FamilyId.SCHROEDER,
-        size_unit=StatKind.LEAVES,
-        geometric_psi=True,
-        radicand=2,
-        singularity=QuadraticNumber(3, -2, 2),
-        normalization=QuadraticNumber(2, 1, 2),
-        # n*t_n = 3(2n-3)*t_(n-1) - (n-3)*t_(n-2)
-        counting=Recurrence((0, 1, 1), ((0, 1), (-9, 6), (3, -1))),
-        # n(n-1)*m_n = 3(n-1)(2n-1)*m_(n-1) - n(n-2)*m_(n-2): m_n = (n+1)*t_(n+1)
-        multiplier=Recurrence((1, 2), ((0, -1, 1), (3, -9, 6), (0, 2, -1))),
-    ),
+    FamilyId.MOTZKIN: FamilyDescriptor(FamilyId.MOTZKIN, StatKind.VERTICES, False),
+    FamilyId.ORDERED: FamilyDescriptor(FamilyId.ORDERED, StatKind.VERTICES, True),
+    FamilyId.FULL_BINARY: FamilyDescriptor(FamilyId.FULL_BINARY, StatKind.LEAVES, False),
+    FamilyId.SCHROEDER: FamilyDescriptor(FamilyId.SCHROEDER, StatKind.LEAVES, True),
 }
 
 
@@ -220,7 +148,7 @@ def _bucket_y(order: int) -> int:
     return 24 if order <= 24 else 8 * ((order + 7) // 8)
 
 
-# -- counting and multiplier coefficients ------------------------------------------
+# -- integer polynomials ----------------------------------------------------------
 
 
 def _product(a: "Sequence[int]", b: "Sequence[int]", size: int) -> "list[int]":
@@ -233,45 +161,129 @@ def _product(a: "Sequence[int]", b: "Sequence[int]", size: int) -> "list[int]":
     return out
 
 
-def _at(poly: "tuple[int, ...]", n: int) -> int:
-    value = 0
-    for c in reversed(poly):
-        value = value * n + c
-    return value
+def _padd(a: "list[int]", b: "list[int]") -> "list[int]":
+    return [*map(_plus, a, b), *a[len(b) :], *b[len(a) :]]
 
 
-def _run(rule: Recurrence, order: int, what: str) -> "tuple[int, ...]":
-    """Terms 0..order of a P-recurrence; every step must divide exactly."""
-    terms = list(rule.initial[: order + 1])
-    lead, *rest = rule.polynomials
-    for n in range(len(terms), order + 1):
-        acc = sum(_at(p, n) * terms[n - i] for i, p in enumerate(rest, 1))
-        value, remainder = divmod(acc, _at(lead, n))
+# -- the family spec: one quadratic, one radical ------------------------------------
+
+
+def _poly(*terms: tuple) -> "list[int]":
+    """The integer polynomial sum of c*f*g*... over the terms (c, f, g, ...)."""
+    out: "list[int]" = []
+    for c, *factors in terms:
+        product = [c]
+        for f in factors:
+            product = _product(product, f, len(product) + len(f) - 1)
+        out = _padd(out, product)
+    return out
+
+
+def _psi(desc: FamilyDescriptor) -> "tuple[tuple[int, ...], tuple[int, ...]]":
+    """psi = P/Q as coefficients in t: t**2/(1-t) for geometric psi, else t**2/1."""
+    return (0, 0, 1), ((1, -1) if desc.geometric_psi else (1,))
+
+
+class _Spec(NamedTuple):
+    """``counting`` and ``multiplier`` are (p, q, d, e): (p*S + q)/(d*x**e)."""
+
+    delta: "list[int]"
+    counting: tuple
+    multiplier: tuple
+    singularity: QuadraticNumber
+    normalization: QuadraticNumber
+
+
+@lru_cache(maxsize=None)
+def _spec(desc: FamilyDescriptor) -> _Spec:
+    """The counting series, the multiplier, rho and K of a family, from psi = P/Q.
+
+    Times Q, the functional equation is T*Q(T) = x*(Q + T*Q + P)(T)
+    (vertices counted) or T*Q(T) = (x*Q + P)(T) (leaves counted), a
+    quadratic A*T**2 + B*T + C = 0 over Z[x].  Another degree in T, A or
+    C not a monomial, or Delta = B**2 - 4AC with Delta_0 != 1 raises
+    ``SolverError``.  With S = 1/sqrt(Delta), 2AT + B = -Delta*S picks
+    T(0) = 0, and differentiating the quadratic, T**2 = -(BT + C)/A and
+    Delta*S**2 = 1 give, with u = AB' - A'B and v = AC' - A'C,
+
+        T = (-B - Delta*S)/(2A),   T' = ((2A*v - u*B)*S - u)/(2A**2).
+
+    The multiplier is T' when leaves are counted and x*T'/T when
+    vertices are, which 1/T = (-B + Delta*S)/(2C) makes
+    x*((2C*u - v*B)*S + v)/(2AC): S (Motzkin, full binary), (1 + S)/2
+    (ordered), (1 + (3 - x)*S)/4 (Schroeder).  rho is the smallest
+    positive root of Delta, tau = T(rho) = -B(rho)/(2A(rho)) and
+    K = 1/tau: rho = 1/3, 1/4, 1/4, 3 - 2*sqrt(2), K = 1, 2, 2, 2 + sqrt(2).
+    """
+    p, q = _psi(desc)
+    size = max(len(p), len(q) + 1)
+    p, q, tq = ([*f, *[0] * size][:size] for f in (p, q, (0, *q)))  # tq: T*Q(T)
+    vertex_counted = desc.size_unit is StatKind.VERTICES  # rows[k]: [T**k](right - left) in x**0, x**1
+    rows = [[-t, q_k + t + p_k] if vertex_counted else [p_k - t, q_k] for p_k, q_k, t in zip(p, q, tq)]
+    c, b, a, *higher = rows
+    if any(map(any, higher)) or sum(map(bool, a)) != 1 or sum(map(bool, c)) != 1:
+        raise SolverError(f"{desc.id.value}: not A*T**2 + B*T + C = 0 with monomials A, C in x: {rows}")
+    (i, a0), (j, c0) = ([(k, f_k) for k, f_k in enumerate(f) if f_k][0] for f in (a, c))
+    delta = _poly((1, b, b), (-4, a, c))
+    if delta[0] != 1:
+        raise SolverError(f"Delta = {delta} for {desc.id.value} does not start with 1")
+    da, db, dc = ([k * f_k for k, f_k in enumerate(f)][1:] for f in (a, b, c))
+    u, v = _poly((1, a, db), (-1, da, b)), _poly((1, a, dc), (-1, da, c))
+    if desc.size_unit is StatKind.LEAVES:
+        multiplier = (_poly((2, a, v), (-1, u, b)), _poly((-1, u)), 2 * a0 * a0, 2 * i)
+    else:
+        multiplier = (_poly((2, [0, 1], c, u), (-1, [0, 1], v, b)), [0, *v], 2 * a0 * c0, i + j)
+    # with Delta_0 = 1 the roots are 2/(-Delta_1 -+ sqrt(disc)); rho has the larger denominator
+    disc = delta[1] ** 2 - 4 * delta[2]
+    root = QuadraticNumber(0, 1, disc) if disc > 1 else QuadraticNumber(max(disc, 0))
+    if disc < 0 or root <= delta[1]:
+        raise SolverError(f"Delta = {delta} for {desc.id.value} has no positive root")
+    rho = 2 / (root - delta[1])
+    a_rho, b_rho = (f[0] + f[1] * rho for f in (a, b))  # A and B are linear in x
+    return _Spec(delta, (_poly((-1, delta)), _poly((-1, b)), 2 * a0, i), multiplier, rho, -2 * a_rho / b_rho)
+
+
+@lru_cache(maxsize=None)
+def _series_integers(family: FamilyId, order: int) -> "tuple[tuple[int, ...], tuple[int, ...]]":
+    """The counting series and the multiplier through x**order, from one S.
+
+    2*Delta*S' = -Delta'*S gives 2n*s_n = -sum_(i>=1) Delta_i*(2n - i)*s_(n-i),
+    then each series is (p*S + q)/(d*x**e).  Every division must be
+    exact and p*S + q must vanish below x**e, else ``SolverError``.
+    """
+    spec = _spec(descriptor(family))
+    terms = [(i, c) for i, c in enumerate(spec.delta) if i and c]
+    s = [1]
+    for n in range(1, order + max(spec.counting[3], spec.multiplier[3]) + 1):
+        acc = 0
+        for i, c in terms:
+            if i <= n:
+                acc -= c * (2 * n - i) * s[n - i]
+        value, remainder = divmod(acc, 2 * n)
         if remainder:
-            raise SolverError(f"non-integer {what} coefficient {acc}/{_at(lead, n)} at n = {n}")
-        terms.append(value)
-    return tuple(terms)
-
-
-@lru_cache(maxsize=None)
-def _counting_integers(family: FamilyId, order: int) -> "tuple[int, ...]":
-    return _run(descriptor(family).counting, order, "count")
-
-
-@lru_cache(maxsize=None)
-def _multiplier_integers(family: FamilyId, order: int) -> "tuple[int, ...]":
-    return _run(descriptor(family).multiplier, order, "multiplier")
+            raise SolverError(f"non-integer coefficient of 1/sqrt(Delta) at n = {n}")
+        s.append(value)
+    series = []
+    for what, (p, q, d, e) in (("count", spec.counting), ("multiplier", spec.multiplier)):
+        values = [divmod(c, d) for c in _poly((1, p, s), (1, q))[: order + e + 1]]
+        bad = [k - e for k, (value, remainder) in enumerate(values) if remainder or (value and k < e)]
+        if bad:
+            raise SolverError(f"non-integer {what} coefficient at n = {bad[0]}")
+        series.append(tuple(value for value, _ in values[e:]))
+    return series[0], series[1]
 
 
 def counting_series(family: FamilyId, order: int) -> PowerSeries:
-    """Truncated counting generating function, from its P-recurrence."""
+    """Truncated counting generating function, from ``_series_integers``."""
     if order < 1:
         raise DomainError("order must be at least 1")
-    return PowerSeries(_counting_integers(family, _series_bucket(order))[: order + 1])
+    return PowerSeries(_series_integers(family, _series_bucket(order))[0][: order + 1])
 
 
 def counting_coefficient(family: FamilyId, n: int) -> int:
-    return _counting_integers(family, _series_bucket(max(n, 1)))[n]
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    return _series_integers(family, _series_bucket(max(n, 1)))[0][n]
 
 
 # -- functional equations --------------------------------------------------------
@@ -432,13 +444,10 @@ def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> Bivaria
     vertex_counted = desc.size_unit is StatKind.VERTICES
     size = order_y + 1
 
-    def padd(a: "list[int]", b: "list[int]") -> "list[int]":
-        return [*map(_plus, a, b), *a[len(b) :], *b[len(a) :]]
-
     def convolve(pairs: "Iterable[tuple[list[int], list[int]]]") -> "list[int]":
         out: "list[int]" = []
         for a, b in pairs:
-            out = padd(out, _product(a, b, min(len(a) + len(b) - 1, size)))
+            out = _padd(out, _product(a, b, min(len(a) + len(b) - 1, size)))
         return out
 
     t: "list[list[int]]" = [[]]
@@ -448,15 +457,15 @@ def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> Bivaria
         j = n - 1 if vertex_counted else n
         if j == len(psi):
             if desc.geometric_psi:
-                t_plus_psi.append(padd(t[j - 1], psi[j - 1]))
+                t_plus_psi.append(_padd(t[j - 1], psi[j - 1]))
                 pj = convolve((t[a], t_plus_psi[j - a]) for a in range(1, j))
             else:  # the pairs (a, j - a) with a < j/2 twice, the middle once
                 pj = [2 * c for c in convolve((t[a], t[j - a]) for a in range(1, (j + 1) // 2))]
                 if j % 2 == 0:
-                    pj = padd(pj, convolve([(t[j // 2], t[j // 2])]))
+                    pj = _padd(pj, convolve([(t[j // 2], t[j // 2])]))
             psi.append(pj)
-        tn = padd(t[n - 1], psi[n - 1]) if vertex_counted else [0, *psi[n]][:size]
-        t.append(padd(tn, [0, 1][:size]) if n == 1 else tn)  # + x*y
+        tn = _padd(t[n - 1], psi[n - 1]) if vertex_counted else [0, *psi[n]][:size]
+        t.append(_padd(tn, [0, 1][:size]) if n == 1 else tn)  # + x*y
     return BivariateSeries(t, order_x, order_y)
 
 
@@ -481,7 +490,7 @@ def multiplier_gf(family: FamilyId, order: int) -> PowerSeries:
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
-    return PowerSeries(_multiplier_integers(family, _series_bucket(order))[: order + 1])
+    return PowerSeries(_series_integers(family, _series_bucket(order))[1][: order + 1])
 
 
 # -- root-statistic generating functions ----------------------------------------
@@ -550,7 +559,7 @@ def _root_parts(family: FamilyId, stat: StatKind, k: int) -> "tuple[tuple[int, .
 @lru_cache(maxsize=None)
 def _multiplier_sums(family: FamilyId, m: int, bucket: int) -> "tuple[int, ...]":
     """multiplier / (1-x)**m through x**bucket, by m running sums (m = 0: the multiplier)."""
-    values = _multiplier_integers(family, bucket)
+    values = _series_integers(family, bucket)[1]
     for _ in range(m):
         values = tuple(accumulate(values))
     return values
@@ -558,9 +567,11 @@ def _multiplier_sums(family: FamilyId, m: int, bucket: int) -> "tuple[int, ...]"
 
 def census_series(family: FamilyId, stat: StatKind, k: int, order: int) -> PowerSeries:
     """Coefficient of x**n counts vertices over all size-n trees whose
-    subtree statistic equals k."""
+    subtree statistic equals k (zero when k exceeds ``max_stat_value``)."""
     if order < 1:
         raise DomainError("order must be at least 1")
+    if k > max_stat_value(family, stat, order):
+        return PowerSeries.zero(order)
     numerator, m = _root_parts(family, stat, k)
     summed = _multiplier_sums(family, m, _series_bucket(order))
     return PowerSeries(_product(numerator, summed, order + 1))
@@ -568,11 +579,14 @@ def census_series(family: FamilyId, stat: StatKind, k: int, order: int) -> Power
 
 def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
     """Single census coefficient: the root numerator P against the
-    cached multiplier / (1-x)**m, deg P + 1 products."""
+    cached multiplier / (1-x)**m, deg P + 1 products; 0, with no root
+    GF built, when n < 1 or k exceeds ``max_stat_value``."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     if k < 1:
         raise DomainError("statistic value k must be at least 1")
+    if n < 1 or k > max_stat_value(family, stat, n):
+        return 0
     numerator, m = _root_parts(family, stat, k)
     summed = _multiplier_sums(family, m, _series_bucket(max(n, 1)))
     return sum(map(_times, numerator[: n + 1], summed[n::-1]))
@@ -591,12 +605,10 @@ def total_vertices(family: FamilyId, n: int) -> int:
     if n < 1:
         raise DomainError(f"no {FamilyId(family).value} trees of size {n}")
     desc = descriptor(family)
-    bucket = _series_bucket(n)
-    count = _counting_integers(family, bucket)[n]
+    counts, mults = _series_integers(family, _series_bucket(n))
     if desc.size_unit is StatKind.VERTICES:
-        return n * count
-    mult = _multiplier_integers(family, bucket)[n]
-    total, remainder = divmod(mult + (n + 1) * count, 4) if desc.geometric_psi else divmod(mult, 2)
+        return n * counts[n]
+    total, remainder = divmod(mults[n] + (n + 1) * counts[n], 4) if desc.geometric_psi else divmod(mults[n], 2)
     if remainder:
         raise SolverError(f"non-integer vertex total for {desc.id.value} at n = {n}")
     return total
@@ -621,8 +633,6 @@ def finite_probability(family: FamilyId, stat: StatKind, k: int, n: int) -> Frac
     has subtree statistic k: census coefficient over the vertex total."""
     if n < 1:
         raise DomainError(f"no {FamilyId(family).value} trees of size {n}")
-    if k < 1:
-        raise DomainError("statistic value k must be at least 1")
     return Fraction(census_coefficient(family, stat, k, n), total_vertices(family, n))
 
 
@@ -684,8 +694,8 @@ def census_table_from_series(family: FamilyId, stat: StatKind, n_max: int) -> Ce
 # Every memo in this module, bound at import so a rebinding of the public
 # names (a wrapper, a test double) cannot hide one.
 _CACHED = (
-    _counting_integers,
-    _multiplier_integers,
+    _spec,
+    _series_integers,
     _bivariate_bucketed,
     root_stat_gf,
     _root_parts,

@@ -69,7 +69,7 @@ def normalization_from_censuses(
     desc = descriptor(family)
     r1 = root_stat_gf(family, desc.size_unit, 1).eval(desc.singularity)
     ratios = [
-        QuadraticNumber(finite_probability(family, desc.size_unit, 1, n), 0, desc.radicand) / r1
+        QuadraticNumber(finite_probability(family, desc.size_unit, 1, n)) / r1
         for n in sizes
     ]
     first = ratios[1] * 2 - ratios[0]

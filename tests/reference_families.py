@@ -1,10 +1,12 @@
 """Per-family closed forms and solvers, the references for the package.
 
-The package computes the counting and multiplier coefficients from
-integer P-recurrences.  These functions derive the same series from the
-algebraic closed forms with ``PowerSeries`` sqrt and div, as the
-tests' reference.  Each radicand's square root is taken once per order
-and shared by the counting series and the multiplier.  ``ref_phi``
+The package derives the counting and multiplier coefficients from psi
+alone: the functional equation's quadratic, one integer recurrence for
+1/sqrt(Delta) and an exact division.  These functions take the same
+series from the hand-written algebraic closed forms with
+``PowerSeries`` sqrt and div, as the tests' reference.  Each radicand's
+square root is taken once per order and shared by the counting series
+and the multiplier.  ``ref_phi``
 writes out each family's functional equation in ``PowerSeries``
 arithmetic, as the reference for the package's psi-driven ``_phi``.
 ``ref_census_coefficient`` and ``ref_total_vertices`` are one O(n)

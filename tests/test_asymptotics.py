@@ -16,6 +16,7 @@ from treecensus import (
     bender_forced_zero,
     bender_limit,
     counting_coefficient,
+    descriptor,
     limit_probability,
     normalization_constant,
     richardson_check,
@@ -65,6 +66,20 @@ def test_normalization_constants_frozen_values():
     assert normalization_constant(FamilyId.ORDERED) == QuadraticNumber(2)
     assert normalization_constant(FamilyId.FULL_BINARY) == QuadraticNumber(2)
     assert normalization_constant(FamilyId.SCHROEDER) == QuadraticNumber(2, 1, 2)
+
+
+def test_singularities_frozen_values():
+    expected = {
+        FamilyId.MOTZKIN: QuadraticNumber(Fraction(1, 3)),
+        FamilyId.ORDERED: QuadraticNumber(Fraction(1, 4)),
+        FamilyId.FULL_BINARY: QuadraticNumber(Fraction(1, 4)),
+        FamilyId.SCHROEDER: QuadraticNumber(3, -2, 2),
+    }
+    for family, rho in expected.items():
+        desc = descriptor(family)
+        assert desc.singularity == rho, family
+        # in Q(sqrt(2)) even when rational, as the printed JSON records
+        assert desc.singularity.radicand == desc.normalization.radicand == 2, family
 
 
 @pytest.mark.parametrize("family", list(FamilyId))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from treecensus import DomainError, LemmaInapplicableError, SeriesError, SolverError, cli, oracle
+from treecensus import DomainError, LemmaInapplicableError, SeriesError, SolverError, cli, families, oracle
 from treecensus.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -89,6 +89,18 @@ def test_prob_domain_error_exit_code(capsys):
     code = main(["prob", "--family", "motzkin", "--stat", "vertices", "--k", "1", "--n", "0"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_prob_beyond_the_largest_statistic_prints_zero(capsys, monkeypatch):
+    # a size-5 Motzkin tree has 5 vertices: the census is 0 with no root GF
+    def refuse(*args):
+        raise AssertionError("a root GF was built")
+
+    monkeypatch.setattr(families, "root_stat_gf", refuse)
+    families.clear_caches()
+    code, out = run(capsys, "prob", "--family", "motzkin", "--stat", "vertices", "--k", "1000000", "--n", "5")
+    assert code == 0
+    assert out.splitlines()[-1] == "| 1000000 | n=5 | 0 | 0 |"
 
 
 def test_usage_error_exit_code():

@@ -46,7 +46,6 @@ from treecensus import (
     total_leaves,
     total_vertices,
 )
-from treecensus.families import Recurrence
 from treecensus.oracle import DEFAULT_BUDGETS
 
 COUNTS = {
@@ -295,19 +294,110 @@ def test_census_coefficient_rejects_non_integral_root_expansion(monkeypatch):
         census_coefficient(FamilyId.MOTZKIN, StatKind.VERTICES, 1, 3)
 
 
-def test_census_coefficient_rejects_non_integral_multiplier(monkeypatch):
-    # 2*m_n = m_(n-1) leaves a remainder at n = 1
-    motzkin = families.FAMILIES[FamilyId.MOTZKIN]
-    halving = Recurrence((1,), ((2,), (1,)))
-    monkeypatch.setitem(families.FAMILIES, FamilyId.MOTZKIN, motzkin._replace(multiplier=halving))
-    # census_coefficient reads the multiplier through _multiplier_sums, so
-    # every cache goes, not only _multiplier_integers
+def _patched_spec(monkeypatch, change):
+    real_spec = families._spec
+    monkeypatch.setattr(families, "_spec", lambda desc: change(real_spec(desc)))
     clear_caches()
+
+
+def test_census_coefficient_rejects_non_integral_multiplier(monkeypatch):
+    # the Motzkin multiplier S/2 in place of S leaves a remainder at n = 1
+    def halved(spec):
+        p, q, d, e = spec.multiplier
+        return spec._replace(multiplier=(p, q, 2 * d, e))
+
+    # census_coefficient reads the multiplier through _multiplier_sums, so
+    # every cache goes, not only _series_integers
+    _patched_spec(monkeypatch, halved)
     try:
         with pytest.raises(SolverError, match="multiplier"):
             census_coefficient(FamilyId.MOTZKIN, StatKind.VERTICES, 1, 3)
     finally:
         clear_caches()
+
+
+def test_a_pole_in_a_derived_series_raises(monkeypatch):
+    # the multiplier over one more power of x: m_0 = 1 would sit at x**-1
+    def shifted(spec):
+        p, q, d, e = spec.multiplier
+        return spec._replace(multiplier=(p, q, d, e + 1))
+
+    _patched_spec(monkeypatch, shifted)
+    try:
+        with pytest.raises(SolverError, match="multiplier coefficient at n = -1"):
+            multiplier_gf(FamilyId.FULL_BINARY, 5)
+    finally:
+        clear_caches()
+
+
+def test_a_non_integral_radical_raises(monkeypatch):
+    # 1/sqrt(1 - x) has s_1 = 1/2
+    _patched_spec(monkeypatch, lambda spec: spec._replace(delta=[1, -1, 0]))
+    try:
+        with pytest.raises(SolverError, match="1/sqrt"):
+            counting_series(FamilyId.ORDERED, 5)
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize(
+    "family, psi, match",
+    [
+        # psi = t**2 + t**3 (T = x + T**2 + T**3) is cubic in T
+        (FamilyId.FULL_BINARY, ((0, 0, 1, 1), (1,)), "not A"),
+        # psi = t**2/(1-2t) gives A = 2 - x
+        (FamilyId.ORDERED, ((0, 0, 1), (1, -2)), "not A"),
+        # psi = t**2/2 gives 2x - 2T + T**2 = 0, Delta = 4 - 8x
+        (FamilyId.FULL_BINARY, ((0, 0, 1), (2,)), "does not start with 1"),
+    ],
+)
+def test_a_psi_outside_the_quadratic_route_raises(family, psi, match, monkeypatch):
+    families._spec.cache_clear()  # a failed derivation is not cached
+    monkeypatch.setattr(families, "_psi", lambda desc: psi)
+    with pytest.raises(SolverError, match=match):
+        families._spec(families.descriptor(family))
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_derived_buckets_are_prefixes_of_each_other(family):
+    counts, mults = families._series_integers(family, 1280)
+    for order in (1, 2, 3, 64, 640):
+        assert families._series_integers(family, order) == (counts[: order + 1], mults[: order + 1])
+
+
+def test_counting_coefficient_rejects_negative_n():
+    for family in FamilyId:
+        for n in (-1, -64, -65):
+            with pytest.raises(DomainError, match="nonnegative"):
+                counting_coefficient(family, n)
+    assert counting_coefficient(FamilyId.MOTZKIN, 0) == 0
+
+
+def test_a_census_beyond_the_largest_statistic_builds_no_root_gf(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a root GF was built")
+
+    clear_caches()
+    monkeypatch.setattr(families, "root_stat_gf", refuse)
+    for family in FamilyId:
+        for stat in StatKind:
+            for n in (1, 5, 40):
+                for k in (max_stat_value(family, stat, n) + 1, 10**6):
+                    assert census_coefficient(family, stat, k, n) == 0
+                    assert finite_probability(family, stat, k, n) == 0
+                    assert census_series(family, stat, k, n) == PowerSeries.zero(n)
+            assert census_coefficient(family, stat, 3, 0) == 0
+
+
+def test_max_stat_value_is_attained():
+    # the bound the zero shortcut relies on is exact: at k = max_stat_value
+    # the census is nonzero, one above it is zero (no size-n tree has it)
+    for family in FamilyId:
+        for stat in StatKind:
+            for n in range(1, 61):
+                top = max_stat_value(family, stat, n)
+                assert census_coefficient(family, stat, top, n) > 0, (family, stat, n)
+                assert ref_census_coefficient(family, stat, top + 1, n) == 0, (family, stat, n)
 
 
 def test_multiplier_values():
@@ -582,9 +672,9 @@ def test_leaf_counted_multiplier_is_counting_derivative(family):
 
 
 def test_recurrence_initial_terms_cover_short_orders():
-    schroeder = families.FAMILIES[FamilyId.SCHROEDER].counting
-    assert families._run(schroeder, 1, "count") == (0, 1)
-    assert families._run(schroeder, 4, "count") == (0, 1, 1, 3, 11)
+    # the derivation itself at orders below the buckets, S shorter than Delta
+    assert families._series_integers(FamilyId.SCHROEDER, 1)[0] == (0, 1)
+    assert families._series_integers(FamilyId.SCHROEDER, 4)[0] == (0, 1, 1, 3, 11)
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
@@ -627,7 +717,12 @@ def test_total_vertices_is_counting_times_multiplier(family):
 @pytest.mark.parametrize("family", [FamilyId.FULL_BINARY, FamilyId.SCHROEDER])
 def test_total_vertices_rejects_an_inexact_division(family, monkeypatch):
     # an all-ones multiplier leaves a remainder at n = 1: 1/2 and (1 + 2)/4
-    monkeypatch.setattr(families, "_multiplier_integers", lambda family, order: (1,) * (order + 1))
+    real_series = families._series_integers
+
+    def ones(family, order):
+        return real_series(family, order)[0], (1,) * (order + 1)
+
+    monkeypatch.setattr(families, "_series_integers", ones)
     with pytest.raises(SolverError, match="non-integer vertex total"):
         total_vertices(family, 1)
 
@@ -637,8 +732,7 @@ def test_families_never_take_a_square_root(monkeypatch):
         raise AssertionError("PowerSeries.sqrt reached from families")
 
     monkeypatch.setattr(PowerSeries, "sqrt", refuse)
-    families._counting_integers.cache_clear()
-    families._multiplier_integers.cache_clear()
+    families._series_integers.cache_clear()
     families._multiplier_sums.cache_clear()
     for family in FamilyId:
         counting_series(family, PIN_ORDER)

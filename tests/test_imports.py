@@ -75,3 +75,14 @@ def test_clear_caches_never_imports_the_oracle():
     code = "import sys, treecensus; treecensus.clear_caches(); print('treecensus.oracle' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["False"]
+
+
+def test_cold_cli_derives_no_family_spec():
+    # the spec and both series are derived on first use, not at import
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "import treecensus.cli as cli, treecensus.families as f; cli.build_parser(); "
+        "print(f._spec.cache_info().currsize, f._series_integers.cache_info().currsize)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "0"]
