@@ -37,8 +37,11 @@ is not on that path; the tests fit general rational functions to its
 y-slices (a Pade fit kept on the test side) as an independent
 derivation of the closed forms.
 
-All arithmetic is exact: integers inside, ``Fraction`` and
-``PowerSeries`` only at the API boundary.  Sequences are cached at
+All arithmetic is exact.  Every series here has integer coefficients:
+it is computed on ``int``s, and the ``PowerSeries``, root GF
+numerator or ``BivariateSeries`` row returned holds those ``int``s, so
+no ``Fraction`` is built per coefficient (a finite probability is one
+``Fraction``).  Sequences are cached at
 bucketed truncation orders, or held at the longest order asked for
 (the fixed point), and sliced down, so repeated queries at nearby
 orders share one computation.  Everything here is pure; caches and
@@ -420,8 +423,8 @@ def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
     s, psi, s_plus_psi, g = held.s[:], held.psi[:], held.s_plus_psi[:], held.g[:]
     _step(desc, s, psi, s_plus_psi, order)
     if _phi_terms(desc, s, g, top + 1, order) != s[top + 1 :]:
-        raise SolverError(f"fixed point for {desc.id} did not stabilise at order {order}")
-    series = PowerSeries([*held.series.coefficients, *s[top + 1 :]])
+        raise SolverError(f"fixed point for {desc.id.value} did not stabilise at order {order}")
+    series = PowerSeries(s)
     _held_solves[desc.id] = _Solve(s, psi, s_plus_psi, g, series)
     return series
 
@@ -438,7 +441,7 @@ def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> Bivaria
     with psi as in ``fixed_point_solve``, whose step rule this is on
     integer y-polynomials truncated at y**order_y: psi(T) = T**2 as a
     symmetric sum, or T*(T + psi(T)) against the running T + psi(T).
-    ``BivariateSeries`` converts the rows to ``Fraction`` once.
+    ``BivariateSeries`` keeps the integer rows as they are.
     """
     desc = descriptor(family)
     vertex_counted = desc.size_unit is StatKind.VERTICES
@@ -685,7 +688,7 @@ def census_table_from_series(family: FamilyId, stat: StatKind, n_max: int) -> Ce
         for n in range(1, n_max + 1):
             value = series.coefficient(n)
             if value:
-                entries[(n, k)] = int(value)
+                entries[(n, k)] = value
     return CensusTable(family, stat, entries)
 
 

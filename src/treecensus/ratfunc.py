@@ -1,7 +1,10 @@
 """Rational functions P(x)/(1-x)**m over Q.
 
-Polynomials are tuples of ``Fraction`` in ascending powers with no
-trailing zeros (the zero polynomial is the empty tuple).  Every
+Polynomials are tuples of exact coefficients, each an ``int`` or a
+``Fraction`` (``series.exact_tuple``: anything else becomes a
+``Fraction``), in ascending powers with no trailing zeros (the zero
+polynomial is the empty tuple); an integer polynomial stays on
+``int``s.  Every
 root-statistic GF the package builds is a numerator over a power of
 (1-x), so ``RationalFunction`` holds exactly that shape: the numerator
 and the exponent m, in lowest terms.  The exact evaluation at a point
@@ -15,8 +18,9 @@ from itertools import accumulate
 from typing import Sequence, Union
 
 from .quadratic import QuadraticNumber
+from .series import exact_tuple
 
-Poly = "tuple[Fraction, ...]"
+Poly = "tuple[int | Fraction, ...]"
 
 
 class PoleError(ZeroDivisionError):
@@ -26,7 +30,7 @@ class PoleError(ZeroDivisionError):
 # -- polynomial helpers --------------------------------------------------------
 
 
-def poly_trim(coeffs: Sequence[Fraction]) -> Poly:
+def poly_trim(coeffs: "Sequence[int | Fraction]") -> Poly:
     last = -1
     for i, c in enumerate(coeffs):
         if c:
@@ -35,20 +39,16 @@ def poly_trim(coeffs: Sequence[Fraction]) -> Poly:
 
 
 def poly_from(coeffs: Sequence[Union[int, Fraction]]) -> Poly:
-    return poly_trim([Fraction(c) for c in coeffs])
-
-
-def _signed_binomials(m: int) -> "list[int]":
-    """(-1)**i * C(m, i) for i = 0..m, by C(m, i+1) = C(m, i)*(m-i)/(i+1)."""
-    out = [1]
-    for i in range(m):
-        out.append(-out[-1] * (m - i) // (i + 1))
-    return out
+    return poly_trim(exact_tuple(coeffs))
 
 
 def one_minus_x_power(m: int) -> Poly:
-    """(1-x)**m, from the binomial theorem."""
-    return tuple(map(Fraction, _signed_binomials(m)))
+    """(1-x)**m: the ``int``s (-1)**i * C(m, i) for i = 0..m, by
+    C(m, i+1) = C(m, i)*(m-i)/(i+1)."""
+    out = [1]
+    for i in range(m):
+        out.append(-out[-1] * (m - i) // (i + 1))
+    return tuple(out)
 
 
 def poly_eval(p: Poly, point):
@@ -100,7 +100,7 @@ class RationalFunction:
         num = poly_from(numerator)
         den = poly_trim(tuple(denominator))
         m = len(den) - 1
-        if m < 0 or any(c != b for c, b in zip(den, _signed_binomials(m))):
+        if m < 0 or any(c != b for c, b in zip(den, one_minus_x_power(m))):
             raise ValueError(f"denominator {poly_text(poly_from(den))} is not a power of (1-x)")
         # (1-x) is the only irreducible factor, so cancel it while
         # num(1) == 0; the quotient by (1-x) has prefix-sum coefficients

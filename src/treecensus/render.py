@@ -50,7 +50,7 @@ def decimal_string(value: ExactValue, digits: int = DEFAULT_PRECISION) -> str:
     return format(d, "f")
 
 
-def fraction_string(value: Fraction) -> str:
+def fraction_string(value: "int | Fraction") -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

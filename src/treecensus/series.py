@@ -1,10 +1,16 @@
 """Truncated formal power series over exact rationals.
 
-A ``PowerSeries`` stores coefficients 0..N as a tuple of ``Fraction``;
-N is the truncation order.  All operations are exact, pure, and return
-new objects, so series are safe to cache and to share between threads.
-Binary operations truncate at the smaller of the two input orders
-unless an explicit ``order`` is requested.
+A ``PowerSeries`` stores coefficients 0..N as a tuple of exact values,
+each an ``int`` or a ``Fraction``; N is the truncation order.  The
+constructor keeps an entry whose type is exactly ``int`` or
+``Fraction`` and converts anything else to a ``Fraction``
+(``exact_tuple``), so an integer series, as every series the package
+computes is, stays on ``int``s and a slice or a held series costs no
+new objects.  The constructors and ``extended`` pad with ``int`` 0 and
+1.  All operations are exact, pure, and return new objects, so series
+are safe to cache and to share between threads.  Binary operations
+truncate at the smaller of the two input orders unless an explicit
+``order`` is requested.
 
 ``mul``, ``div`` and ``sqrt`` scale each input to integer numerators
 over its least common denominator, run their recurrence on ``int``s and
@@ -21,8 +27,16 @@ from typing import Iterable, Sequence, Union
 
 Coefficient = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_EXACT = frozenset((int, Fraction))
+
+
+def exact_tuple(values: Iterable[Coefficient]) -> "tuple[Coefficient, ...]":
+    """The values as a tuple: an exact ``int`` or ``Fraction`` is kept as
+    it is (both are immutable), anything else becomes a ``Fraction``."""
+    values = tuple(values)
+    if _EXACT.issuperset(map(type, values)):
+        return values
+    return tuple(c if type(c) in _EXACT else Fraction(c) for c in values)
 
 
 class SeriesError(Exception):
@@ -45,8 +59,7 @@ class PowerSeries:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[Coefficient]):
-        # a Fraction is immutable, so one given as such is kept, not rebuilt
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients)
+        coeffs = exact_tuple(coefficients)
         if not coeffs:
             raise ValueError("a series needs at least the constant term")
         object.__setattr__(self, "coefficients", coeffs)
@@ -58,25 +71,25 @@ class PowerSeries:
 
     @staticmethod
     def zero(order: int) -> "PowerSeries":
-        return PowerSeries([_ZERO] * (order + 1))
+        return PowerSeries([0] * (order + 1))
 
     @staticmethod
     def one(order: int) -> "PowerSeries":
-        return PowerSeries([_ONE] + [_ZERO] * order)
+        return PowerSeries([1] + [0] * order)
 
     @staticmethod
     def monomial(coefficient: Coefficient, power: int, order: int) -> "PowerSeries":
         if power > order:
             return PowerSeries.zero(order)
-        coeffs = [_ZERO] * (order + 1)
-        coeffs[power] = Fraction(coefficient)
+        coeffs = [0] * (order + 1)
+        coeffs[power] = coefficient
         return PowerSeries(coeffs)
 
     @staticmethod
     def from_polynomial(poly: Sequence[Coefficient], order: int) -> "PowerSeries":
         """Embed a polynomial (coefficient list, ascending) at a truncation."""
-        coeffs = [Fraction(c) for c in poly[: order + 1]]
-        coeffs += [_ZERO] * (order + 1 - len(coeffs))
+        coeffs = list(poly[: order + 1])
+        coeffs += [0] * (order + 1 - len(coeffs))
         return PowerSeries(coeffs)
 
     # -- basics --------------------------------------------------------------
@@ -85,7 +98,7 @@ class PowerSeries:
     def truncation_order(self) -> int:
         return len(self.coefficients) - 1
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> "int | Fraction":
         if n < 0:
             raise IndexError("negative index")
         if n > self.truncation_order:
@@ -114,7 +127,7 @@ class PowerSeries:
         """Pad with zero coefficients up to ``order``."""
         if order <= self.truncation_order:
             return self.truncate(order)
-        return PowerSeries(self.coefficients + (_ZERO,) * (order - self.truncation_order))
+        return PowerSeries(self.coefficients + (0,) * (order - self.truncation_order))
 
     def is_zero(self) -> bool:
         return self.valuation() is None
@@ -164,7 +177,7 @@ class PowerSeries:
         """Multiply by x**power; the known range extends accordingly."""
         if power < 0:
             raise ValueError("use div for negative shifts")
-        return PowerSeries((_ZERO,) * power + self.coefficients)
+        return PowerSeries((0,) * power + self.coefficients)
 
     def mul(self, other: "PowerSeries", order: "int | None" = None) -> "PowerSeries":
         """Cauchy product truncated at ``order`` (default: min of inputs)."""
@@ -247,7 +260,7 @@ class PowerSeries:
         # exact and the symmetric sum is taken once.
         scale = 4 * d
         roots = [1]
-        out = [_ONE]
+        out = [1]
         lead = 2
         power = scale
         for k in range(1, n + 1):
@@ -261,7 +274,7 @@ class PowerSeries:
         return PowerSeries(out)
 
 
-def _numerators(coefficients: "Sequence[Fraction]") -> "tuple[list[int], int]":
+def _numerators(coefficients: "Sequence[Coefficient]") -> "tuple[list[int], int]":
     """Integer numerators over the least common denominator, and that denominator."""
     d = lcm(*(c.denominator for c in coefficients))
     return [c.numerator * (d // c.denominator) for c in coefficients], d

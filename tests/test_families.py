@@ -105,6 +105,21 @@ def test_fixed_point_raises_when_phi_disagrees_with_online_rule(family, monkeypa
         fixed_point_solve(family, 11)  # an extension of the held prefix
 
 
+def test_fixed_point_error_names_the_family_by_its_value(monkeypatch):
+    real_terms = families._phi_terms
+
+    def perturbed(desc, a, g, start, order):
+        terms = real_terms(desc, a, g, start, order)
+        terms[-1] += 1
+        return terms
+
+    clear_caches()
+    monkeypatch.setattr(families, "_phi_terms", perturbed)
+    with pytest.raises(SolverError) as raised:
+        fixed_point_solve("motzkin", 5)
+    assert str(raised.value) == "fixed point for motzkin did not stabilise at order 5"
+
+
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_a_wrong_coefficient_raises_and_keeps_the_checked_prefix(family, monkeypatch):
     real_step = families._step

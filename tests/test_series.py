@@ -120,12 +120,13 @@ def test_constructor_keeps_fractions_and_converts_the_rest():
     class Third(Fraction):
         pass
 
-    half = Fraction(1, 2)
-    s = PowerSeries([half, 3, Third(1, 3), "1/4"])
-    assert s.coefficients == (Fraction(1, 2), Fraction(3), Fraction(1, 3), Fraction(1, 4))
-    assert [type(c) for c in s.coefficients] == [Fraction] * 4
-    assert s.coefficients[0] is half
-    assert s.truncate(1).coefficients[0] is half
+    half, big = Fraction(1, 2), 3 * 10**30  # big: not one of the interpreter's shared small ints
+    s = PowerSeries([half, big, Third(1, 3), "1/4", True])
+    assert s.coefficients == (Fraction(1, 2), Fraction(big), Fraction(1, 3), Fraction(1, 4), Fraction(1))
+    assert s.coefficients[0] is half and s.coefficients[1] is big
+    assert [type(c) for c in s.coefficients] == [Fraction, int, Fraction, Fraction, Fraction]
+    head = s.truncate(1).coefficients
+    assert head[0] is half and head[1] is big
 
 
 def test_valuation():
