@@ -55,11 +55,7 @@ _SUBMODULE_NAMES = {
     "oracle": (
         "BudgetError",
         "DEFAULT_BUDGETS",
-        "VertexCensus",
         "aggregate_census",
-        "census_tree",
-        "enumerate_trees",
-        "tree_to_text",
         "verify_family",
     ),
     "quadratic": ("QuadraticNumber",),

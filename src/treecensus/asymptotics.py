@@ -121,7 +121,7 @@ def limit_probability(
     exact = _exact_limit(family, stat, k)
     if not (0 <= exact <= 1):
         raise ValueError(f"probability {exact} outside [0, 1]")
-    diagnostics = richardson_check(family, stat, k, sizes) if check else None
+    diagnostics = _richardson(family, stat, k, sizes, exact) if check else None
     return AsymptoticProbability(
         family=FamilyId(family),
         stat=StatKind(stat),
@@ -144,6 +144,13 @@ def richardson_check(
     (square-root singularity), so one elimination step over the two
     largest sizes is used:  p* = (n2 p2 - n1 p1) / (n2 - n1).
     """
+    return _richardson(family, stat, k, sizes)
+
+
+def _richardson(
+    family: FamilyId, stat: StatKind, k: int, sizes: "tuple[int, ...]", exact: "QuadraticNumber | None" = None
+) -> ConvergenceRecord:
+    """``richardson_check``, against ``exact`` when the caller already holds the limit."""
     if len(sizes) < 2:
         raise ValueError("need at least two sizes to extrapolate")
     if list(sizes) != sorted(set(sizes)):
@@ -152,7 +159,8 @@ def richardson_check(
     n1, n2 = sizes[-2], sizes[-1]
     p1, p2 = probs[-2], probs[-1]
     extrapolate = Fraction(n2 * p2 - n1 * p1, n2 - n1)
-    exact = _exact_limit(family, stat, k)
+    if exact is None:
+        exact = _exact_limit(family, stat, k)
     gap = abs(QuadraticNumber(extrapolate, 0, exact.radicand) - exact)
     return ConvergenceRecord(tuple(sizes), probs, extrapolate, exact, gap)
 

@@ -64,6 +64,19 @@ _ERRATUM_FOR_ROW = {
 MAX_RANGE_VALUES = 10_000
 
 
+# The highest truncation order a request may reach: the k of a table, a
+# limit or tightness, and the n of coeffs or prob --n, checked before any
+# series is built.  A series through order N holds O(N**2) digits; at this
+# bound the costliest single value, an ordered-tree leaf census at
+# k = 1299, takes about 1 s and 19 MB in a cold process.
+MAX_ORDER = 1300
+
+
+def _check_order(flag: str, value: int) -> None:
+    if value > MAX_ORDER:
+        raise DomainError(f"{flag} {value} is above the highest order a request may reach, {MAX_ORDER}")
+
+
 def _parse_range(text: str) -> range:
     if ".." in text:
         lo, hi = (int(part) for part in text.split("..", 1))
@@ -125,6 +138,7 @@ def _tabular(fmt: str, headers, rows, json_payload) -> str:
 def _cmd_table(args) -> int:
     family, stat = args.family, args.stat
     ks = _parse_range(args.k)
+    _check_order("--k", ks[-1])
     headers = ["k", "root_gf", "exact", "decimal", "published", "erratum"]
     rows = []
     json_rows = []
@@ -177,6 +191,7 @@ def _cmd_coeffs(args) -> int:
     ns = _parse_range(args.n)
     if ns[0] < 0:
         raise DomainError(f"--n must be nonnegative, got {ns[0]}")
+    _check_order("--n", ns[-1])
     order = max(ns)
     if args.series == "counting":
         series = counting_series(family, max(order, 1))
@@ -206,33 +221,28 @@ def _cmd_coeffs(args) -> int:
 def _cmd_prob(args) -> int:
     family, stat = args.family, args.stat
     ks = _parse_range(args.k)
+    if args.n is None:
+        _check_order("--k", ks[-1])
+    else:
+        _check_order("--n", args.n)
     headers = ["k", "kind", "exact", "decimal"]
     rows = []
     json_rows = []
     for k in ks:
         if args.n is not None:
             value = finite_probability(family, stat, k, args.n)
-            rows.append(
-                [str(k), f"n={args.n}", fraction_string(value), decimal_string(value, args.precision)]
-            )
-            json_rows.append(
-                {
-                    "k": k,
-                    "n": args.n,
-                    "exact": exact_json(value),
-                    "decimal": decimal_string(value, args.precision),
-                }
-            )
+            shown = decimal_string(value, args.precision)
+            rows.append([str(k), f"n={args.n}", fraction_string(value), shown])
+            json_rows.append({"k": k, "n": args.n, "exact": exact_json(value), "decimal": shown})
             continue
         prob = limit_probability(family, stat, k, check=args.check)
-        rows.append(
-            [str(k), "limit", str(prob.exact_value), decimal_string(prob.exact_value, args.precision)]
-        )
+        shown = decimal_string(prob.exact_value, args.precision)
+        rows.append([str(k), "limit", str(prob.exact_value), shown])
         entry = {
             "k": k,
             "limit": True,
             "exact": exact_json(prob.exact_value),
-            "decimal": decimal_string(prob.exact_value, args.precision),
+            "decimal": shown,
             "method": prob.method,
         }
         if prob.diagnostics is not None:
@@ -344,11 +354,8 @@ def _golden_rows(families, n_max_flag):
 
 
 def _write_golden(path: str, families, n_max_flag) -> None:
-    lines = [",".join(_GOLDEN_COLUMNS)]
-    for family, stat, n, k, count in _golden_rows(families, n_max_flag):
-        lines.append(f"{family},{stat},{n},{k},{count}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(to_csv(_GOLDEN_COLUMNS, list(_golden_rows(families, n_max_flag))))
 
 
 def _check_golden(path: str) -> dict:
@@ -408,6 +415,7 @@ def _cmd_errata(args) -> int:
 
 
 def _cmd_tightness(args) -> int:
+    _check_order("--k-max", args.k_max)
     report = tightness_report(args.family, args.stat, args.k_max)
     headers = ["k", "term", "partial_sum"]
     rows = []
@@ -463,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="limit-probability table for one family/statistic")
     p_table.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
     p_table.add_argument("--stat", type=_stat, required=True, choices=_STAT_CHOICES)
-    p_table.add_argument("--k", required=True, help=f"k value or range, e.g. 1..7 (at most {MAX_RANGE_VALUES} values)")
+    p_table.add_argument(
+        "--k", required=True, help=f"k value or range, e.g. 1..7 (at most {MAX_RANGE_VALUES} values); k <= {MAX_ORDER}"
+    )
     p_table.add_argument(
         "--paper-precision",
         action="store_true",
@@ -477,15 +487,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("--series", choices=("counting", "multiplier", "census"), required=True)
     p_coeffs.add_argument("--stat", type=_stat, default=None, choices=_STAT_CHOICES)
     p_coeffs.add_argument("--k", type=int, default=None)
-    p_coeffs.add_argument("--n", required=True, help=f"index or range, e.g. 0..10 (at most {MAX_RANGE_VALUES} values)")
+    p_coeffs.add_argument(
+        "--n", required=True, help=f"index or range, e.g. 0..10 (at most {MAX_RANGE_VALUES} values); n <= {MAX_ORDER}"
+    )
     add_common(p_coeffs, precision=False)
     p_coeffs.set_defaults(func=_cmd_coeffs)
 
     p_prob = sub.add_parser("prob", help="finite-size or limiting probabilities")
     p_prob.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
     p_prob.add_argument("--stat", type=_stat, required=True, choices=_STAT_CHOICES)
-    p_prob.add_argument("--k", required=True, help=f"k value or range (at most {MAX_RANGE_VALUES} values)")
-    p_prob.add_argument("--n", type=int, default=None, help="tree size for a finite probability")
+    p_prob.add_argument(
+        "--k", required=True, help=f"k value or range (at most {MAX_RANGE_VALUES} values); k <= {MAX_ORDER} for a limit"
+    )
+    p_prob.add_argument("--n", type=int, default=None, help=f"tree size for a finite probability (n <= {MAX_ORDER})")
     p_prob.add_argument("--check", action="store_true", help="attach convergence diagnostics (json)")
     add_common(p_prob)
     p_prob.set_defaults(func=_cmd_prob)
@@ -505,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tight = sub.add_parser("tightness", help="partial sums of limit probabilities")
     p_tight.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
     p_tight.add_argument("--stat", type=_stat, required=True, choices=_STAT_CHOICES)
-    p_tight.add_argument("--k-max", type=int, required=True, dest="k_max")
+    p_tight.add_argument("--k-max", type=int, required=True, dest="k_max", help=f"largest k summed; k_max <= {MAX_ORDER}")
     add_common(p_tight)
     p_tight.set_defaults(func=_cmd_tightness)
 

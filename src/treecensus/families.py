@@ -30,7 +30,7 @@ Every root-statistic GF is a closed form P(x)/(1-x)**m with integer P:
 a monomial when the statistic is the size unit, and otherwise a
 Lagrange-inversion count of the trees of psi's branching.  So a census
 coefficient is sum_i P_i * [x^(n-i)] multiplier/(1-x)**m: the second
-factor is cached per (family, m, bucket), and one coefficient costs
+factor is held per (family, m, bucket), and one coefficient costs
 deg P + 1 products.  ``RationalFunction`` holds exactly this shape.
 The bivariate refinement, one x-adic solver in the size unit and psi,
 is not on that path; the tests fit general rational functions to its
@@ -68,8 +68,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .bivariate import BivariateSeries
 from .quadratic import QuadraticNumber
-from .ratfunc import RationalFunction, one_minus_x_power
-from .series import PowerSeries, TruncationError
+from .ratfunc import RationalFunction
+from .series import PowerSeries
 
 
 class DomainError(ValueError):
@@ -322,29 +322,6 @@ def _phi_terms(desc: FamilyDescriptor, a: "Sequence[int]", g: "list[int]", start
     return out
 
 
-def _phi(family: FamilyId, s: PowerSeries, order: int) -> PowerSeries:
-    """Phi(s) through x**order for a series with integer coefficients.
-
-    The constant term is 0 for a vertex-counted family and psi_0 = s_0**2
-    for a leaf-counted one; ``_phi_terms`` gives the rest.  The order
-    must be at least 1 (else ``DomainError``), and s must be known
-    through x**order (else ``TruncationError``).
-    """
-    desc = descriptor(family)
-    if order < 1:
-        raise DomainError("order must be at least 1")
-    if order > s.truncation_order:
-        raise TruncationError(f"order {order} exceeds truncation {s.truncation_order}")
-    coefficients = s.coefficients[: order + 1]
-    if any(c.denominator != 1 for c in coefficients):
-        raise SolverError("Phi(s) needs s with integer coefficients")
-    a = [c.numerator for c in coefficients]
-    if desc.geometric_psi and a[0]:
-        raise SolverError("psi(s) = s**2/(1-s) needs s with zero constant term")
-    head = 0 if desc.size_unit is StatKind.VERTICES else a[0] ** 2
-    return PowerSeries([head, *_phi_terms(desc, a, [1], 1, order)])
-
-
 def _step(desc: FamilyDescriptor, s: "list[int]", psi: "list[int]", s_plus_psi: "list[int]", order: int) -> None:
     """Extend the solver's running arrays in place until s holds s_0..s_order.
 
@@ -528,7 +505,7 @@ def root_stat_gf(family: FamilyId, stat: StatKind, k: int) -> RationalFunction:
     for v in range(first + 1, m + 1):
         tail = [*map(_minus, tail, [0, *tail]), -tail[-1]]  # times (1-x)
         tail[-1] += terms[v - k]
-    return RationalFunction([0] * first + tail, one_minus_x_power(m))
+    return RationalFunction([0] * first + tail, m)
 
 
 def _psi_trees(geometric: bool, v: int, j: int) -> int:
@@ -559,12 +536,26 @@ def _root_parts(family: FamilyId, stat: StatKind, k: int) -> "tuple[tuple[int, .
     return tuple(value.numerator for value in root.numerator), root.exponent
 
 
-@lru_cache(maxsize=None)
+# The levels multiplier / (1-x)**m asked for, by (family, bucket) and then
+# by m; ``clear_caches`` drops them.
+_held_sums: "dict[tuple[FamilyId, int], dict[int, tuple[int, ...]]]" = {}
+
+
 def _multiplier_sums(family: FamilyId, m: int, bucket: int) -> "tuple[int, ...]":
-    """multiplier / (1-x)**m through x**bucket, by m running sums (m = 0: the multiplier)."""
-    values = _series_integers(family, bucket)[1]
-    for _ in range(m):
-        values = tuple(accumulate(values))
+    """multiplier / (1-x)**m through x**bucket (m = 0: the multiplier).
+
+    Level m is the running sums of level m - 1, so it is built from the
+    highest held level below m of the same family and bucket, or from
+    the multiplier, and held; only the levels asked for are held.
+    """
+    levels = _held_sums.setdefault((descriptor(family).id, bucket), {})
+    values = levels.get(m)
+    if values is None:
+        below = max((j for j in levels if j < m), default=0)
+        values = levels[below] if below else _series_integers(family, bucket)[1]
+        for _ in range(m - below):
+            values = tuple(accumulate(values))
+        levels[m] = values
     return values
 
 
@@ -702,22 +693,22 @@ _CACHED = (
     _bivariate_bucketed,
     root_stat_gf,
     _root_parts,
-    _multiplier_sums,
 )
 
 
 def clear_caches() -> None:
     """Drop every cached value, so the next call of each function runs cold.
 
-    Empties this module's caches and its held fixed-point solves and,
-    if ``treecensus.oracle`` is already imported, the oracle's census
-    cache and its held enumeration; it never imports the oracle.  Cached
-    values are pure, so clearing changes no result, only the time to the
-    next one.
+    Empties this module's caches, its held fixed-point solves and
+    multiplier sums and, if ``treecensus.oracle`` is already imported,
+    the oracle's census cache and its held enumeration; it never imports
+    the oracle.  Cached values are pure, so clearing changes no result,
+    only the time to the next one.
     """
     for cached in _CACHED:
         cached.cache_clear()
     _held_solves.clear()
+    _held_sums.clear()
     oracle = sys.modules.get(f"{__package__}.oracle")
     if oracle is not None:
         oracle._clear_caches()

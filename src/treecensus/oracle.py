@@ -1,4 +1,4 @@
-"""Exhaustive tree enumeration and direct per-vertex censuses.
+"""Exhaustive tree enumeration and its subtree censuses.
 
 This is the ground truth the series engine is checked against: every
 tree of a family up to a size budget is generated explicitly, and the
@@ -13,12 +13,9 @@ census of size n gives each size-n tree multiplicity 1 and walks the
 levels downwards: a tree level adds its multiplicities to the histograms
 of its counts, and a block passes its row sums to its first trees and
 its column sums to the forests after them, instead of walking every
-vertex of every tree (``census_tree`` keeps that walk as the reference).
-The nested-tuple trees of ``enumerate_trees`` (a tree is the tuple of
-its child trees, a leaf the empty tuple) are a view rebuilt from the
-segments, in the same order, one object per subtree.  One family's
-table is held at a time.  Nothing here touches the series machinery
-except inside ``verify_family``, which performs the comparison.
+vertex of every tree.  One family's table is held at a time.  Nothing
+here touches the series machinery except inside ``verify_family``,
+which performs the comparison.
 """
 
 from __future__ import annotations
@@ -39,8 +36,6 @@ from .families import (
     total_vertices,
 )
 
-Tree = tuple  # a tree is the tuple of its child trees; a leaf is ()
-
 DEFAULT_BUDGETS: "dict[FamilyId, int]" = {
     FamilyId.MOTZKIN: 14,
     FamilyId.ORDERED: 12,
@@ -51,24 +46,6 @@ DEFAULT_BUDGETS: "dict[FamilyId, int]" = {
 
 class BudgetError(ValueError):
     """Requested size exceeds the enumeration budget."""
-
-
-class VertexCensus(NamedTuple):
-    subtree_vertices: int
-    subtree_leaves: int
-
-
-def enumerate_trees(family: FamilyId, n: int, ceiling: "int | None" = None) -> "tuple[Tree, ...]":
-    """All trees of size n (family's unit), each exactly once.
-
-    Children compositions are produced in lexicographic order, so the
-    output order is deterministic.  Sizes above the budget are refused.
-    Each child of a listed tree is the object listed for its own size.
-    """
-    family = FamilyId(family)
-    _check_size(family, n, ceiling)
-    table = _table(family)
-    return tuple(table.view(table.level(n)))
 
 
 def _check_size(family: FamilyId, n: int, ceiling: "int | None") -> None:
@@ -106,13 +83,12 @@ class _Level(NamedTuple):
 class _Table:
     """One family's trees up to some size, as levels of product blocks:
     ``levels`` in creation order, each after the levels its segments name;
-    ``trees[n]`` indexes the size-n trees' level; ``views`` as enumerated."""
+    ``trees[n]`` indexes the size-n trees' level."""
 
     def __init__(self, family: FamilyId) -> None:
         self.family = family
         self.levels = [_Level((), b"\x01", b"\x01", True)]  # the one-vertex tree
         self.trees: "list[int | None]" = [None, 0]
-        self.views: "dict[int, list[Tree]]" = {0: [()]}
         self._forest_levels: "dict[tuple[int, bool, int], int]" = {}
 
     def level(self, n: int) -> int:
@@ -198,20 +174,6 @@ class _Table:
                 start = stop
         return tuple({k: m for k, m in enumerate(histogram) if m} for histogram in (by_vertices, by_leaves))
 
-    def view(self, index: int, forests: bool = False) -> "list[Tree]":
-        """Level ``index``'s elements as nested tuples, in order (with ``forests``,
-        trees as forests of one); each child is the object listed for its size."""
-        if forests and self.levels[index].tree:
-            return [(tree,) for tree in self.view(index)]
-        found = self.views.get(index)
-        if found is None:
-            found = self.views[index] = []
-            for head, tail in self.levels[index].segments:
-                rests = self.view(tail, forests=True)
-                found += rests if head is None else [(first, *rest) for first in self.view(head) for rest in rests]
-        return found
-
-
 def _outer(rows: bytes, columns: bytes) -> bytes:
     """Row-major rows[r] + columns[c], in the shorter loop."""
     if len(rows) <= len(columns):
@@ -247,31 +209,6 @@ def _table(family: FamilyId) -> _Table:
     if _held is None or _held.family is not family:
         _held = _Table(family)
     return _held
-
-
-def tree_to_text(tree: Tree) -> str:
-    """Canonical balanced-parenthesis serialization, children left to right."""
-    return "(" + "".join(tree_to_text(child) for child in tree) + ")"
-
-
-def census_tree(tree: Tree) -> "tuple[VertexCensus, ...]":
-    """Per-vertex (subtree vertices, subtree leaves) in post-order."""
-    out: "list[VertexCensus]" = []
-
-    def walk(node: Tree) -> "tuple[int, int]":
-        if not node:
-            out.append(VertexCensus(1, 1))
-            return 1, 1
-        vertices, leaves = 1, 0
-        for child in node:
-            v, l = walk(child)
-            vertices += v
-            leaves += l
-        out.append(VertexCensus(vertices, leaves))
-        return vertices, leaves
-
-    walk(tree)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,6 @@ of a quadratic field is the bridge from a GF to its limit probability.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence, Union
 
 from .quadratic import QuadraticNumber
@@ -40,15 +39,6 @@ def poly_trim(coeffs: "Sequence[int | Fraction]") -> Poly:
 
 def poly_from(coeffs: Sequence[Union[int, Fraction]]) -> Poly:
     return poly_trim(exact_tuple(coeffs))
-
-
-def one_minus_x_power(m: int) -> Poly:
-    """(1-x)**m: the ``int``s (-1)**i * C(m, i) for i = 0..m, by
-    C(m, i+1) = C(m, i)*(m-i)/(i+1)."""
-    out = [1]
-    for i in range(m):
-        out.append(-out[-1] * (m - i) // (i + 1))
-    return tuple(out)
 
 
 def poly_eval(p: Poly, point):
@@ -89,33 +79,24 @@ def poly_text(p: Poly, variable: str = "x") -> str:
 class RationalFunction:
     """P(x)/(1-x)**m in lowest terms: P(1) != 0 whenever m > 0.
 
-    The constructor takes a numerator and a denominator polynomial; the
-    denominator must be (1-x)**m for some m >= 0, else ``ValueError``.
-    ``exponent`` is m, and ``denominator`` rebuilds (1-x)**m.
+    The constructor takes the numerator P and the exponent m >= 0; a
+    negative m, or P(1) == 0 with m > 0 (a common factor 1-x), raises
+    ``ValueError``, so equal functions have equal fields.
     """
 
     __slots__ = ("numerator", "exponent")
 
-    def __init__(self, numerator: Sequence[Union[int, Fraction]], denominator: Sequence[Union[int, Fraction]] = (1,)):
+    def __init__(self, numerator: Sequence[Union[int, Fraction]], exponent: int = 0):
         num = poly_from(numerator)
-        den = poly_trim(tuple(denominator))
-        m = len(den) - 1
-        if m < 0 or any(c != b for c, b in zip(den, one_minus_x_power(m))):
-            raise ValueError(f"denominator {poly_text(poly_from(den))} is not a power of (1-x)")
-        # (1-x) is the only irreducible factor, so cancel it while
-        # num(1) == 0; the quotient by (1-x) has prefix-sum coefficients
-        while m and sum(num) == 0:
-            num = poly_trim(list(accumulate(num))[:-1])
-            m -= 1
+        if exponent < 0:
+            raise ValueError(f"exponent {exponent} is negative")
+        if exponent and sum(num) == 0:
+            raise ValueError(f"({poly_text(num)})/(1-x)^{exponent} is not in lowest terms: the numerator vanishes at 1")
         object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", m)
+        object.__setattr__(self, "exponent", exponent)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
-
-    @property
-    def denominator(self) -> Poly:
-        return one_minus_x_power(self.exponent)
 
     @staticmethod
     def monomial(coefficient: Union[int, Fraction], power: int) -> "RationalFunction":
@@ -123,10 +104,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return not self.numerator
-
-    def one_minus_x_exponent(self) -> int:
-        """m, the power of (1-x) in the denominator (0 for a polynomial)."""
-        return self.exponent
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):

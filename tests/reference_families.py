@@ -42,7 +42,6 @@ from treecensus import (
     multiplier_gf,
     root_stat_gf,
 )
-from treecensus.ratfunc import one_minus_x_power
 
 # The highest order the convolution references reach.
 REF_ORDER = 1280
@@ -117,7 +116,7 @@ def ref_root_expansion(family: FamilyId, stat, k: int, order: int) -> "list[int]
     root = root_stat_gf(family, stat, k)
     values = [int(c) for c in root.numerator[: order + 1]]
     values += [0] * (order + 1 - len(values))
-    for _ in range(root.one_minus_x_exponent()):
+    for _ in range(root.exponent):
         values = list(accumulate(values))
     return values
 
@@ -251,7 +250,7 @@ def ref_root_stat_gf(family: FamilyId, stat: StatKind, k: int) -> RationalFuncti
         numerator = [0, 1]
     else:
         numerator = [0] * (k + 1) + [_narayana(k - 1, j) for j in range(1, k)]
-    return RationalFunction(numerator, one_minus_x_power(m))
+    return RationalFunction(numerator, m)
 
 
 def _narayana(m: int, k: int) -> int:

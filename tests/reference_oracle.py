@@ -1,8 +1,11 @@
 """The enumerations as first written, as the tests' references.
 
-``ref_trees`` is the earliest construction: nested tuples, one branch
-per family, with its own cache of every family; it pins the order and
-shape of the enumerated trees.  ``IndexTable`` is the index table the
+``ref_trees`` is the earliest construction: nested tuples (a tree is
+the tuple of its child trees, a leaf the empty tuple), one branch per
+family, with its own cache of every family; it pins the order and shape
+of the enumerated trees.  ``census_tree`` walks every vertex of one
+such tree, the reference for the block table's census, and
+``tree_to_text`` serializes one.  ``IndexTable`` is the index table the
 package used before its block table: each tree a tuple of its
 children's indices, Schroeder trees built as the forests of at least
 two trees, and a census that walks every index downwards.  It pins the
@@ -10,8 +13,39 @@ block table's census and its per-level count bytes.
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from treecensus import BudgetError, FamilyId
+
+
+class VertexCensus(NamedTuple):
+    subtree_vertices: int
+    subtree_leaves: int
+
+
+def tree_to_text(tree: tuple) -> str:
+    """Canonical balanced-parenthesis serialization, children left to right."""
+    return "(" + "".join(tree_to_text(child) for child in tree) + ")"
+
+
+def census_tree(tree: tuple) -> "tuple[VertexCensus, ...]":
+    """Per-vertex (subtree vertices, subtree leaves) in post-order."""
+    out: "list[VertexCensus]" = []
+
+    def walk(node: tuple) -> "tuple[int, int]":
+        if not node:
+            out.append(VertexCensus(1, 1))
+            return 1, 1
+        vertices, leaves = 1, 0
+        for child in node:
+            v, l = walk(child)
+            vertices += v
+            leaves += l
+        out.append(VertexCensus(vertices, leaves))
+        return vertices, leaves
+
+    walk(tree)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,6 @@ the ``rational_*`` helpers, which no package path runs, live here.
 """
 
 from fractions import Fraction
-from itertools import accumulate
 from math import comb
 from typing import Sequence, Union
 
@@ -22,7 +21,6 @@ from treecensus.ratfunc import (
     PoleError,
     Poly,
     RationalFunction,
-    one_minus_x_power,
     poly_eval,
     poly_from,
     poly_text,
@@ -38,6 +36,11 @@ FIT_MARGIN = 8  # extra agreement coefficients demanded beyond the degrees
 
 class FitError(Exception):
     """No rational function of the requested degrees matches the series."""
+
+
+def one_minus_x_power(m: int) -> Poly:
+    """(1-x)**m as the ``int``s (-1)**i * C(m, i), i = 0..m."""
+    return tuple((-1) ** i * comb(m, i) for i in range(m + 1))
 
 
 def poly_degree(p: Poly) -> int:
@@ -108,14 +111,6 @@ class ReferenceRationalFunction:
             raise ZeroDivisionError("denominator polynomial is zero")
         if not num:
             den = (_ONE,)
-        elif _binomial_power_match(den, poly_degree(den)) is not None:
-            # (1-x) is the only irreducible factor, so cancel it while
-            # num(1) == 0; the quotient by (1-x) has prefix-sum coefficients
-            m = poly_degree(den)
-            while m and sum(num) == 0:
-                num = poly_trim(list(accumulate(num))[:-1])
-                m -= 1
-            den = one_minus_x_power(m)
         else:
             g = poly_gcd(num, den)
             if poly_degree(g) > 0:
@@ -238,7 +233,7 @@ def rational_is_polynomial(r: RationalFunction) -> bool:
 
 
 def rational_scale(r: RationalFunction, factor: Union[int, Fraction]) -> RationalFunction:
-    return RationalFunction(poly_scale(r.numerator, Fraction(factor)), r.denominator)
+    return RationalFunction(poly_scale(r.numerator, Fraction(factor)), r.exponent)
 
 
 # -- rational reconstruction -----------------------------------------------------

@@ -46,7 +46,7 @@ def test_bender_forced_zero():
 
 
 def test_bender_pole_is_inapplicable():
-    over_one_minus = RationalFunction((1,), (1, -1))
+    over_one_minus = RationalFunction((1,), 1)
     inp = BenderInput(over_one_minus, QuadraticNumber(1), QuadraticNumber(1))
     with pytest.raises(LemmaInapplicableError):
         bender_limit(inp)
@@ -142,6 +142,18 @@ def test_limit_probability_attaches_diagnostics():
     prob = limit_probability(FamilyId.MOTZKIN, StatKind.VERTICES, 1, check=True, sizes=SMALL_SIZES)
     assert prob.diagnostics is not None
     assert prob.diagnostics.exact == prob.exact_value
+
+
+def test_checked_limit_evaluates_the_exact_limit_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(asymptotics, "bender_limit", lambda inp: calls.append(inp) or bender_limit(inp))
+    for family in FamilyId:
+        for stat in StatKind:
+            calls.clear()
+            prob = limit_probability(family, stat, 3, check=True, sizes=SMALL_SIZES)
+            assert len(calls) == 1, (family, stat)
+            assert prob.diagnostics == richardson_check(family, stat, 3, SMALL_SIZES)
+            assert len(calls) == 2, (family, stat)  # the public check evaluates its own
 
 
 @pytest.mark.parametrize("sizes", [(600, 300), (300, 300), (150, 600, 300)])

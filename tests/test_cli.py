@@ -343,15 +343,46 @@ def test_over_long_range_exits_2_before_building_it(capsys, monkeypatch):
     assert peak < 1 << 20
 
 
+_ABOVE = str(cli.MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("table", "--family", "motzkin", "--stat", "vertices", "--k", f"1..{_ABOVE}"), "--k"),
+        (("prob", "--family", "ordered", "--stat", "leaves", "--k", _ABOVE, "--check"), "--k"),
+        (("prob", "--family", "ordered", "--stat", "leaves", "--k", "1..3", "--n", _ABOVE), "--n"),
+        (("tightness", "--family", "schroeder", "--stat", "leaves", "--k-max", _ABOVE), "--k-max"),
+        (("coeffs", "--family", "motzkin", "--series", "counting", "--n", _ABOVE), "--n"),
+        (("coeffs", "--family", "motzkin", "--series", "census", "--stat", "leaves", "--k", "1", "--n", _ABOVE), "--n"),
+    ],
+)
+def test_orders_above_the_bound_exit_2_before_any_series(argv, flag, capsys, monkeypatch):
+    for name in ("counting_series", "census_series", "finite_probability", "limit_probability", "tightness_report"):
+        monkeypatch.setattr(cli, name, None)  # a call would raise TypeError, not exit 2
+    code = main(list(argv))
+    _assert_one_line_error(code, capsys.readouterr(), f"error: {flag} {_ABOVE} is above the highest order")
+
+
+def test_orders_at_the_bound_are_admitted(capsys):
+    top = str(cli.MAX_ORDER)
+    code, out = run(capsys, "prob", "--family", "motzkin", "--stat", "vertices", "--k", top, "--format", "csv")
+    assert code == 0 and out.splitlines()[-1].startswith(f"{top},limit,")
+    code, out = run(capsys, "coeffs", "--family", "motzkin", "--series", "counting", "--n", top, "--format", "csv")
+    assert code == 0 and out.splitlines()[-1].startswith(f"{top},")
+
+
 def test_range_bound_is_exact_and_in_help(capsys):
     assert cli._parse_range(f"5..{cli.MAX_RANGE_VALUES + 4}") == range(5, cli.MAX_RANGE_VALUES + 5)
     with pytest.raises(ValueError, match="more than the"):
         cli._parse_range(f"5..{cli.MAX_RANGE_VALUES + 5}")
     assert cli._parse_range("7") == range(7, 8)
-    for command in ("table", "coeffs", "prob"):
+    for command in ("table", "coeffs", "prob", "tightness"):
         with pytest.raises(SystemExit):
             main([command, "--help"])
-        assert f"(at most {cli.MAX_RANGE_VALUES} values)" in " ".join(capsys.readouterr().out.split())
+        text = " ".join(capsys.readouterr().out.split())
+        assert command == "tightness" or f"(at most {cli.MAX_RANGE_VALUES} values)" in text
+        assert f"<= {cli.MAX_ORDER}" in text, command
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -191,10 +192,20 @@ def test_string_and_member_share_one_held_solve():
     assert fixed_point_solve("motzkin", 30) == solved
 
 
+def _phi(family, s, order):
+    """Coefficients 1..order of Phi(s) by the solver's check, from s's integers."""
+    return families._phi_terms(FAMILIES[family], [int(c) for c in s.coefficients], [1], 1, order)
+
+
+def _tail(series):
+    """Coefficients 1.. of a series, the part ``_phi_terms`` computes."""
+    return list(series.coefficients[1:])
+
+
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_incremental_check_equals_phi(family):
-    # the check the solver runs, resumed in random chunks, against the
-    # whole-range _phi, coefficient by coefficient; each chunk sees only
+    # the check the solver runs, resumed in random chunks, against one
+    # whole-range call, coefficient by coefficient; each chunk sees only
     # the coefficients through its own top order
     rng = random.Random(1602)
     desc = FAMILIES[family]
@@ -203,8 +214,8 @@ def test_incremental_check_equals_phi(family):
     moved = counting + PowerSeries.monomial(1, 37, order) - PowerSeries.monomial(2, 62, order)
     for s in (counting, moved):
         a = [int(c) for c in s.coefficients]
-        whole = families._phi(family, s, order).coefficients
-        g, terms, done = [1], [whole[0]], 0
+        whole = _phi(family, s, order)
+        g, terms, done = [1], [], 0
         while done < order:
             top = min(order, done + rng.randint(1, 9))
             terms += families._phi_terms(desc, a[: top + 1], g, done + 1, top)
@@ -220,8 +231,8 @@ def test_phi_matches_reference_equation(family):
     counting = counting_series(family, order)
     perturbed = counting + PowerSeries.monomial(1, 5, order)
     for s in (counting, perturbed):
-        assert families._phi(family, s, order) == ref_phi(family, s, order)
-    assert families._phi(family, perturbed, order) != perturbed
+        assert _phi(family, s, order) == _tail(ref_phi(family, s, order))
+    assert _phi(family, perturbed, order) != _tail(perturbed)
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
@@ -236,23 +247,20 @@ def test_phi_matches_reference_at_every_order(family):
         if order >= 2:
             moved += PowerSeries.monomial(1, 2 * max(1, order // 4), order)
         for s in (counting, moved):
-            assert families._phi(family, s, order) == ref_phi(family, s, order), (order, s)
+            assert _phi(family, s, order) == _tail(ref_phi(family, s, order)), (order, s)
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_phi_needs_an_order_from_one_to_the_truncation(family):
     s = PowerSeries([0, 1])
-    for phi in (families._phi, ref_phi):
-        with pytest.raises(TruncationError):
-            phi(family, s, 5)
-    assert families._phi(family, s, 1) == ref_phi(family, s, 1)
-    with pytest.raises(DomainError, match="at least 1"):
-        families._phi(family, s, 0)
+    with pytest.raises(TruncationError):
+        ref_phi(family, s, 5)
+    assert _phi(family, s, 1) == _tail(ref_phi(family, s, 1))
 
 
 def test_clear_caches_empties_every_cache():
     cached = [value for value in vars(families).values() if hasattr(value, "cache_clear")]
-    assert len(cached) == 6
+    assert len(cached) == 5
     for family in FamilyId:
         fixed_point_solve(family, 10)
         multiplier_gf(family, 10)
@@ -261,19 +269,13 @@ def test_clear_caches_empties_every_cache():
     aggregate_census(FamilyId.MOTZKIN, 5, StatKind.VERTICES)
     assert all(value.cache_info().currsize for value in cached)
     assert len(families._held_solves) == 4
+    assert len(families._held_sums) == 4
     assert oracle._aggregate.cache_info().currsize and oracle._held is not None
     clear_caches()
-    assert [value.cache_info().currsize for value in cached] == [0] * 6
-    assert families._held_solves == {}
+    assert [value.cache_info().currsize for value in cached] == [0] * 5
+    assert families._held_solves == {} and families._held_sums == {}
     assert oracle._aggregate.cache_info().currsize == 0 and oracle._held is None
     assert fixed_point_solve(FamilyId.SCHROEDER, 10) == counting_series(FamilyId.SCHROEDER, 10)
-
-
-def test_phi_rejects_series_outside_its_integer_domain():
-    with pytest.raises(SolverError, match="integer coefficients"):
-        families._phi(FamilyId.MOTZKIN, PowerSeries([0, 1, Fraction(1, 2)]), 2)
-    with pytest.raises(SolverError, match="zero constant term"):
-        families._phi(FamilyId.SCHROEDER, PowerSeries([1, 1, 1]), 2)
 
 
 def _psi(desc, t):
@@ -321,7 +323,7 @@ def test_census_coefficient_rejects_non_integral_multiplier(monkeypatch):
         p, q, d, e = spec.multiplier
         return spec._replace(multiplier=(p, q, 2 * d, e))
 
-    # census_coefficient reads the multiplier through _multiplier_sums, so
+    # census_coefficient reads the multiplier through the held sums, so
     # every cache goes, not only _series_integers
     _patched_spec(monkeypatch, halved)
     try:
@@ -597,7 +599,7 @@ def test_root_stat_gf_closed_forms_match_fit(family, stat):
     for k in range(1, 13):
         closed = root_stat_gf(family, stat, k)
         fitted = _fitted_root_gf(family, stat, k)
-        assert (closed.numerator, closed.denominator) == (fitted.numerator, fitted.denominator), (
+        assert (closed.numerator, closed.exponent) == (fitted.numerator, fitted.one_minus_x_exponent()), (
             family, stat, k,
         )
         assert str(closed) == str(fitted)
@@ -718,9 +720,24 @@ def test_census_coefficient_matches_convolution_reference(family, stat):
 def test_census_coefficient_after_a_thousand_running_sums():
     # root GF Cat(519) * x**1039 / (1-x)**1039
     family, stat, k, n = FamilyId.MOTZKIN, StatKind.LEAVES, 520, 1100
-    assert root_stat_gf(family, stat, k).one_minus_x_exponent() == 1039
+    assert root_stat_gf(family, stat, k).exponent == 1039
     expected = ref_census_coefficient(family, stat, k, n)
     assert expected and census_coefficient(family, stat, k, n) == expected
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_multiplier_sums_build_on_the_nearest_held_level(family):
+    # levels asked for out of order, each built from the highest held level
+    # below it, against m running sums of the multiplier from scratch
+    clear_caches()
+    for bucket in (64, 640):
+        levels = [families._series_integers(family, bucket)[1]]
+        for _ in range(199):
+            levels.append(tuple(accumulate(levels[-1])))
+        for m in (7, 3, 5, 1, 63, 199):
+            assert families._multiplier_sums(family, m, bucket) == levels[m], (bucket, m)
+        assert sorted(families._held_sums[family, bucket]) == [1, 3, 5, 7, 63, 199]
+    clear_caches()
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
@@ -748,7 +765,7 @@ def test_families_never_take_a_square_root(monkeypatch):
 
     monkeypatch.setattr(PowerSeries, "sqrt", refuse)
     families._series_integers.cache_clear()
-    families._multiplier_sums.cache_clear()
+    families._held_sums.clear()
     for family in FamilyId:
         counting_series(family, PIN_ORDER)
         multiplier_gf(family, PIN_ORDER)

@@ -19,7 +19,6 @@ from treecensus import (
     census_table_from_series,
     clear_caches,
     descriptor,
-    enumerate_trees,
     finite_probability,
     fixed_point_solve,
     limit_probability,
@@ -46,7 +45,6 @@ CALLS = {
     "census_coefficient": (lambda f, s: census_coefficient(f, s, 2, 9), True),
     "finite_probability": (lambda f, s: finite_probability(f, s, 2, 9), True),
     "census_table_from_series": (lambda f, s: census_table_from_series(f, s, 6), True),
-    "enumerate_trees": (lambda f, s: enumerate_trees(f, 5), False),
     "aggregate_census": (lambda f, s: aggregate_census(f, 5, s), True),
     "verify_family": (lambda f, s: verify_family(f, 5), False),
 }
@@ -84,7 +82,6 @@ UNKNOWN_NAMES = {
     "max_stat_value": lambda: max_stat_value("motzkin", "edges", 5),
     "total_vertices": lambda: total_vertices("binary", 3),
     "bivariate_series": lambda: bivariate_series("binary", 4, 4),
-    "enumerate_trees": lambda: enumerate_trees("binary", 3),
     "verify_family": lambda: verify_family("binary", 3),
 }
 

@@ -3,20 +3,16 @@
 from collections import Counter
 
 import pytest
-from reference_oracle import IndexTable, ref_trees
+from reference_oracle import IndexTable, VertexCensus, census_tree, ref_trees, tree_to_text
 
 from treecensus import (
     DEFAULT_BUDGETS,
     BudgetError,
     FamilyId,
     StatKind,
-    VertexCensus,
     aggregate_census,
-    census_tree,
     counting_coefficient,
-    enumerate_trees,
     total_vertices,
-    tree_to_text,
     verify_family,
 )
 from treecensus import oracle
@@ -26,23 +22,36 @@ CHAIN3 = (((),),)  # three-vertex unary chain
 CHERRY = ((), ())  # root with two leaf children
 
 
+def _listed(table, n):
+    """The (vertices, leaves) count bytes of the block table's size-n trees."""
+    level = table.levels[table.level(n)]
+    return level.vertices, level.leaves
+
+
+def _root_counts(trees):
+    """The same count bytes, walked from nested-tuple trees in their order."""
+    roots = [census_tree(tree)[-1] for tree in trees]
+    return bytes(root.subtree_vertices for root in roots), bytes(root.subtree_leaves for root in roots)
+
+
 def test_enumeration_counts_small():
-    assert len(enumerate_trees(FamilyId.MOTZKIN, 3)) == 2
-    assert len(enumerate_trees(FamilyId.SCHROEDER, 3)) == 3
-    assert len(enumerate_trees(FamilyId.FULL_BINARY, 1)) == 1
-    assert len(enumerate_trees(FamilyId.ORDERED, 4)) == 5
+    assert len(_listed(oracle._Table(FamilyId.MOTZKIN), 3)[0]) == 2
+    assert len(_listed(oracle._Table(FamilyId.SCHROEDER), 3)[0]) == 3
+    assert len(_listed(oracle._Table(FamilyId.FULL_BINARY), 1)[0]) == 1
+    assert len(_listed(oracle._Table(FamilyId.ORDERED), 4)[0]) == 5
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_enumeration_matches_counting_series(family):
+    table = oracle._Table(family)
     for n in range(1, 8):
-        assert len(enumerate_trees(family, n)) == counting_coefficient(family, n)
+        assert len(_listed(table, n)[0]) == counting_coefficient(family, n)
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_no_duplicate_trees(family):
     for n in range(1, 8):
-        trees = enumerate_trees(family, n)
+        trees = ref_trees(family, n)
         serialized = [tree_to_text(t) for t in trees]
         assert len(set(serialized)) == len(serialized)
 
@@ -53,11 +62,11 @@ def test_arity_constraints_hold():
         for child in tree:
             yield from arities(child)
 
-    for tree in enumerate_trees(FamilyId.MOTZKIN, 6):
+    for tree in ref_trees(FamilyId.MOTZKIN, 6):
         assert all(a <= 2 for a in arities(tree))
-    for tree in enumerate_trees(FamilyId.FULL_BINARY, 5):
+    for tree in ref_trees(FamilyId.FULL_BINARY, 5):
         assert all(a in (0, 2) for a in arities(tree))
-    for tree in enumerate_trees(FamilyId.SCHROEDER, 5):
+    for tree in ref_trees(FamilyId.SCHROEDER, 5):
         assert all(a == 0 or a >= 2 for a in arities(tree))
 
 
@@ -66,17 +75,17 @@ def test_leaf_counted_sizes():
         return 1 if not tree else sum(leaves(c) for c in tree)
 
     for n in range(1, 7):
-        for tree in enumerate_trees(FamilyId.SCHROEDER, n):
+        for tree in ref_trees(FamilyId.SCHROEDER, n):
             assert leaves(tree) == n
-        for tree in enumerate_trees(FamilyId.FULL_BINARY, n):
+        for tree in ref_trees(FamilyId.FULL_BINARY, n):
             assert leaves(tree) == n
 
 
 def test_budget_refusal_mentions_budget():
     with pytest.raises(BudgetError, match="budget of 14"):
-        enumerate_trees(FamilyId.MOTZKIN, 15)
+        aggregate_census(FamilyId.MOTZKIN, 15, StatKind.VERTICES)
     with pytest.raises(BudgetError):
-        enumerate_trees(FamilyId.SCHROEDER, 11)
+        aggregate_census(FamilyId.SCHROEDER, 11, StatKind.LEAVES)
     with pytest.raises(BudgetError):
         aggregate_census(FamilyId.ORDERED, 13, StatKind.VERTICES)
 
@@ -99,7 +108,7 @@ def test_census_tree_examples():
 
 
 def test_census_self_consistency():
-    for tree in enumerate_trees(FamilyId.SCHROEDER, 5):
+    for tree in ref_trees(FamilyId.SCHROEDER, 5):
         censuses = census_tree(tree)
         root = censuses[-1]
         assert root.subtree_vertices == len(censuses)
@@ -158,17 +167,6 @@ def test_full_binary_even_vertex_rows_are_empty():
         assert k % 2 == 1 and count > 0
 
 
-def _leaf_vertex_profile(tree):
-    if not tree:
-        return 1, 1
-    vertices, leaves = 1, 0
-    for child in tree:
-        v, l = _leaf_vertex_profile(child)
-        vertices += v
-        leaves += l
-    return vertices, leaves
-
-
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_bivariate_matches_enumeration(family):
     """Coefficient (n, j) of the bivariate series counts trees directly."""
@@ -179,9 +177,9 @@ def test_bivariate_matches_enumeration(family):
     y_stat = descriptor(family).bivariate_y
     for n in range(1, 7):
         profile = Counter()
-        for tree in enumerate_trees(family, n):
-            vertices, leaves = _leaf_vertex_profile(tree)
-            profile[leaves if y_stat is StatKind.LEAVES else vertices] += 1
+        for tree in ref_trees(family, n):
+            root = census_tree(tree)[-1]
+            profile[root.subtree_leaves if y_stat is StatKind.LEAVES else root.subtree_vertices] += 1
         ny = max_stat_value(family, y_stat, n)
         bv = bivariate_series(family, n, ny)
         for j in range(1, ny + 1):
@@ -192,7 +190,7 @@ def test_bivariate_matches_enumeration(family):
 def test_aggregate_matches_per_tree_walk(family):
     """The shared-subtree census equals the per-vertex walk of every tree."""
     for n in range(1, DEFAULT_BUDGETS[family] - 1):
-        vertices = [vertex for tree in enumerate_trees(family, n) for vertex in census_tree(tree)]
+        vertices = [vertex for tree in ref_trees(family, n) for vertex in census_tree(tree)]
         walked = {
             StatKind.VERTICES: Counter(vertex.subtree_vertices for vertex in vertices),
             StatKind.LEAVES: Counter(vertex.subtree_leaves for vertex in vertices),
@@ -214,8 +212,7 @@ def test_subtree_counts_count_repeated_child_objects():
     rest = table._add([(chain_level, 0)], tree=False)  # the forest (chain, LEAF)
     top_level = table._add([(chain_level, rest), (pair_level, pair_level)], tree=True)
     table.trees = [None, 0, chain_level, pair_level, top_level]  # the top level holds top and top2
-    assert table.view(top_level) == [top, top2]
-    assert table.view(pair_level)[0][0] is table.view(pair_level)[0][1] is table.view(chain_level)[0]
+    assert _listed(table, 4) == _root_counts([top, top2])
     walked = [vertex for tree in (top, top2) for vertex in census_tree(tree)]
     by_vertices = Counter(vertex.subtree_vertices for vertex in walked)
     assert table.census(4) == (by_vertices, Counter(vertex.subtree_leaves for vertex in walked))
@@ -239,70 +236,54 @@ def test_census_below_the_top_takes_both_block_layouts():
     mixed = table._add([(small, large), (large, small)], tree=True)
     top = table._add([(mixed, mixed)], tree=True)
     table.trees += [mixed, top]  # census(5) and census(6) take them as the top
-    for n in (5, 6):
-        trees = table.view(table.trees[n])
-        level, roots = table.levels[table.trees[n]], [census_tree(tree)[-1] for tree in trees]
-        assert level.vertices == bytes(root.subtree_vertices for root in roots)
-        assert level.leaves == bytes(root.subtree_leaves for root in roots)
+    small_trees, large_trees = ref_trees(FamilyId.ORDERED, 3), ref_trees(FamilyId.ORDERED, 4)
+    mixed_trees = [(s, t) for s in small_trees for t in large_trees]
+    mixed_trees += [(t, s) for t in large_trees for s in small_trees]
+    top_trees = [(a, b) for a in mixed_trees for b in mixed_trees]
+    for n, trees in ((5, mixed_trees), (6, top_trees)):
+        assert _listed(table, n) == _root_counts(trees)
         walked = [vertex for tree in trees for vertex in census_tree(tree)]
         expected = (
             Counter(vertex.subtree_vertices for vertex in walked),
             Counter(vertex.subtree_leaves for vertex in walked),
         )
         assert table.census(n) == expected
-    assert len(table.view(top)) == 20 * 20
+    assert len(table.levels[top].vertices) == 20 * 20
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_enumeration_matches_reference_construction(family):
+    table = oracle._Table(family)
     for n in range(1, 9):
-        texts = [tree_to_text(t) for t in enumerate_trees(family, n)]
-        assert texts == [tree_to_text(t) for t in ref_trees(family, n)], (family, n)
+        assert _listed(table, n) == _root_counts(ref_trees(family, n)), (family, n)
 
 
 def test_interleaved_families_enumerate_unchanged():
-    def texts(family):
-        return [[tree_to_text(t) for t in enumerate_trees(family, n)] for n in range(1, 9)]
+    def counts(family):
+        return [_listed(oracle._table(family), n) for n in range(1, 9)]
 
-    first = texts(FamilyId.MOTZKIN)
-    between = texts(FamilyId.SCHROEDER)
-    again = texts(FamilyId.MOTZKIN)
+    first = counts(FamilyId.MOTZKIN)
+    between = counts(FamilyId.SCHROEDER)
+    again = counts(FamilyId.MOTZKIN)
     for family, listed in ((FamilyId.MOTZKIN, first), (FamilyId.SCHROEDER, between), (FamilyId.MOTZKIN, again)):
         for n, row in enumerate(listed, start=1):
-            assert len(row) == counting_coefficient(family, n)
-            assert row == [tree_to_text(t) for t in ref_trees(family, n)], (family, n)
+            assert len(row[0]) == counting_coefficient(family, n)
+            assert row == _root_counts(ref_trees(family, n)), (family, n)
 
 
 def test_enumeration_cache_holds_one_family():
-    schroeder = enumerate_trees(FamilyId.SCHROEDER, 6)
-    held = oracle._held
-    enumerate_trees(FamilyId.MOTZKIN, 6)
-    assert oracle._held is not held and oracle._held.family is FamilyId.MOTZKIN
+    schroeder = oracle._table(FamilyId.SCHROEDER)
+    listed = [_listed(schroeder, n) for n in range(1, 7)]
+    oracle._table(FamilyId.MOTZKIN).level(6)
+    assert oracle._held is not schroeder and oracle._held.family is FamilyId.MOTZKIN
     motzkin_trees = sum(counting_coefficient(FamilyId.MOTZKIN, n) for n in range(1, 7))
     held = oracle._held
     assert len(held.trees) == 7  # the levels of sizes 1 to 6, and no more
     assert sum(len(held.levels[index].vertices) for index in held.trees[1:]) == motzkin_trees
-    assert sum(len(held.views[index]) for index in held.trees[1:]) == motzkin_trees
-    # the Schroeder table was dropped, so asking again builds its trees anew
-    rebuilt = enumerate_trees(FamilyId.SCHROEDER, 6)
-    assert rebuilt == schroeder
-    assert all(new is not old for new, old in zip(rebuilt, schroeder))
-    assert oracle._held.family is FamilyId.SCHROEDER
-
-
-@pytest.mark.parametrize("family", list(FamilyId))
-def test_enumerated_children_are_the_trees_listed_at_their_size(family):
-    from treecensus import descriptor
-
-    unit = descriptor(family).size_unit
-    listed = {n: enumerate_trees(family, n) for n in range(1, 8)}
-    by_id = {id(tree): n for n, trees in listed.items() for tree in trees}
-    for n in range(2, 8):
-        for tree in listed[n]:
-            for child in tree:
-                root = census_tree(child)[-1]
-                size = root.subtree_vertices if unit is StatKind.VERTICES else root.subtree_leaves
-                assert by_id.get(id(child)) == size, (family, n, tree_to_text(child))
+    # the Schroeder table was dropped, so asking again builds its levels anew
+    rebuilt = oracle._table(FamilyId.SCHROEDER)
+    assert rebuilt is not schroeder and oracle._held is rebuilt
+    assert [_listed(rebuilt, n) for n in range(1, 7)] == listed
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
@@ -311,7 +292,6 @@ def test_verify_family_counts_every_listed_tree(family, monkeypatch):
     monkeypatch.setattr(oracle, "counting_coefficient", lambda family, n: -1)
     report = verify_family(family, 8)
     counted = {m.n: m.expected for m in report.mismatches if m.quantity == "tree count"}
-    assert counted == {n: len(enumerate_trees(family, n)) for n in range(1, 9)}
     assert counted == {n: len(ref_trees(family, n)) for n in range(1, 9)}
 
 

@@ -10,6 +10,7 @@ from reference_ratfunc import (
     ReferenceRationalFunction,
     _binomial_power_match,
     fit_rational,
+    one_minus_x_power,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -28,7 +29,6 @@ from treecensus import (
     bivariate_series,
 )
 from treecensus.ratfunc import (
-    one_minus_x_power,
     poly_eval,
     poly_from,
     poly_text,
@@ -91,17 +91,24 @@ def test_fit_reexpansion_roundtrip_random():
 
 
 def test_reduction_to_lowest_terms():
-    # (x - x^2)/(1 - x) reduces to x
-    r = RationalFunction((0, 1, -1), (1, -1))
+    # (x - x^2)/(1 - x) is x: the package holds P/(1-x)^m only in lowest
+    # terms, P(1) != 0 when m > 0, which the reference class reaches by a gcd
+    for numerator, exponent in (((0, 1, -1), 1), ((1, -1), 1), ((0, 2, -3, 1), 4), ((), 2)):
+        with pytest.raises(ValueError, match="lowest terms"):
+            RationalFunction(numerator, exponent)
+    with pytest.raises(ValueError, match="negative"):
+        RationalFunction((1,), -1)
+    reduced = ReferenceRationalFunction((0, 1, -1), (1, -1))
+    r = RationalFunction(reduced.numerator, reduced.one_minus_x_exponent())
     assert rational_is_polynomial(r)
     assert r.numerator == (Fraction(0), Fraction(1))
 
 
 def test_eval_examples():
     third = QuadraticNumber(Fraction(1, 3))
-    r = RationalFunction((0, 1), (1, -1))  # x/(1-x)
+    r = RationalFunction((0, 1), 1)  # x/(1-x)
     assert r.eval(third) == QuadraticNumber(Fraction(1, 2))
-    cube = RationalFunction((0, 0, 0, 1), (1, -3, 3, -1))  # x^3/(1-x)^3
+    cube = RationalFunction((0, 0, 0, 1), 3)  # x^3/(1-x)^3
     assert cube.eval(QuadraticNumber(Fraction(1, 4))) == QuadraticNumber(Fraction(1, 27))
     identity = RationalFunction((0, 1))
     b = QuadraticNumber(3, -2, 2)
@@ -109,7 +116,7 @@ def test_eval_examples():
 
 
 def test_eval_pole():
-    r = RationalFunction((1,), (1, -1))
+    r = RationalFunction((1,), 1)
     with pytest.raises(PoleError):
         r.eval(QuadraticNumber(1))
 
@@ -125,7 +132,7 @@ def test_text_rendering():
     assert poly_text((Fraction(0), Fraction(5))) == "5*x"
     assert str(rational_zero()) == "0"
     assert str(RationalFunction.monomial(21, 5)) == "21*x^5"
-    assert str(RationalFunction((0, 0, 0, 0, 0, 0, 0, 5), (1, -1))) == "5*x^7/(1-x)"
+    assert str(RationalFunction((0, 0, 0, 0, 0, 0, 0, 5), 1)) == "5*x^7/(1-x)"
     assert (
         str(RationalFunction((0, 0, 0, 0, 5, 9, 1)))
         == "5*x^4 + 9*x^5 + x^6"
@@ -142,6 +149,7 @@ def _reduced_by_gcd(num, den):
 
 
 def test_one_minus_x_power_reduction_matches_gcd():
+    # the package refuses exactly the inputs a gcd would reduce
     rng = random.Random(23)
     for m in range(0, 7):
         den = one_minus_x_power(m)
@@ -152,8 +160,13 @@ def test_one_minus_x_power_reduction_matches_gcd():
                 if not any(body):
                     body[0] = Fraction(1)
                 num = poly_mul(poly_from(body), one_minus_x_power(order))
-                r = RationalFunction(num, den)
-                assert (r.numerator, r.denominator) == _reduced_by_gcd(num, den), (num, m)
+                reduced = _reduced_by_gcd(num, den)
+                if reduced[1] != den:
+                    with pytest.raises(ValueError, match="lowest terms"):
+                        RationalFunction(num, m)
+                    continue
+                r = RationalFunction(num, m)
+                assert (r.numerator, one_minus_x_power(r.exponent)) == reduced, (num, m)
 
 
 def test_binomial_power_match():
@@ -178,9 +191,10 @@ def test_eval_at_rational_point_matches_field_arithmetic():
         assert value.radicand == in_field.radicand == 3
     for _ in range(20):
         num = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 6))]
-        r = RationalFunction(num, one_minus_x_power(rng.randint(0, 6)))
+        reduced = ReferenceRationalFunction(num, one_minus_x_power(rng.randint(0, 6)))
+        r = RationalFunction(reduced.numerator, reduced.one_minus_x_exponent())
         point = QuadraticNumber(Fraction(rng.randint(-5, 5), rng.randint(6, 12)), 0, 3)
-        in_field = poly_eval(r.numerator, point) / poly_eval(r.denominator, point)
+        in_field = poly_eval(r.numerator, point) / poly_eval(one_minus_x_power(r.exponent), point)
         value = r.eval(point)
         assert value == in_field
         assert value.radicand == in_field.radicand == 3
@@ -193,27 +207,21 @@ def _one_minus_x_by_comb(m):
 def test_one_minus_x_power_is_the_binomial_expansion():
     for m in range(0, 40):
         assert one_minus_x_power(m) == _one_minus_x_by_comb(m), m
-        assert RationalFunction((1,), _one_minus_x_by_comb(m)).exponent == m
 
 
-@pytest.mark.parametrize("denominator", [(1, -2), (1, 0, -1), (2, -2), (1, -1, 0, 5), (), (0,)])
-def test_denominator_other_than_a_power_of_one_minus_x_is_rejected(denominator):
-    with pytest.raises(ValueError, match="not a power of"):
-        RationalFunction((1,), denominator)
-
-
-def test_denominator_is_read_only_and_rebuilt_from_the_exponent():
-    r = RationalFunction((0, 0, 1), (1, -3, 3, -1))
-    assert r.exponent == r.one_minus_x_exponent() == 3
-    assert r.denominator == _one_minus_x_by_comb(3)
+def test_numerator_and_exponent_are_read_only():
+    r = RationalFunction((0, 0, 1), 3)
+    assert (r.numerator, r.exponent) == ((0, 0, 1), 3)
+    assert RationalFunction((1, -1)).exponent == 0  # a polynomial may vanish at 1
     with pytest.raises(AttributeError):
-        r.denominator = (1,)
+        r.numerator = (1,)
     with pytest.raises(AttributeError):
         r.exponent = 0
 
 
 def test_one_minus_x_powers_match_the_reference_class():
-    # numerators vanishing at x = 1 to several orders, over (1-x)**m, m <= 12
+    # numerators vanishing at x = 1 to several orders, over (1-x)**m, m <= 12;
+    # the package takes the reference's lowest terms and refuses the rest
     rng = random.Random(41)
     root3 = QuadraticNumber(Fraction(1, 5), Fraction(1, 7), 3)
     for _ in range(200):
@@ -222,10 +230,12 @@ def test_one_minus_x_powers_match_the_reference_class():
         if not any(body):
             body[-1] = Fraction(1)
         numerator = poly_mul(poly_from(body), _one_minus_x_by_comb(rng.randint(0, m + 2)))
-        package = RationalFunction(numerator, _one_minus_x_by_comb(m))
         reference = ReferenceRationalFunction(numerator, _one_minus_x_by_comb(m))
+        if m and sum(numerator) == 0:
+            with pytest.raises(ValueError, match="lowest terms"):
+                RationalFunction(numerator, m)
+        package = RationalFunction(reference.numerator, reference.one_minus_x_exponent())
         assert package.numerator == reference.numerator, (numerator, m)
-        assert package.denominator == reference.denominator, (numerator, m)
-        assert package.exponent == reference.one_minus_x_exponent(), (numerator, m)
+        assert one_minus_x_power(package.exponent) == reference.denominator, (numerator, m)
         assert str(package) == str(reference), (numerator, m)
         assert package.eval(root3) == reference.eval(root3), (numerator, m)
