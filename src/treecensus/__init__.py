@@ -15,18 +15,12 @@ __version__ = "1.0.0"
 _SUBMODULE_NAMES = {
     "asymptotics": (
         "AsymptoticProbability",
-        "BenderInput",
         "ConvergenceRecord",
-        "LemmaInapplicableError",
         "TightnessReport",
-        "bender_forced_zero",
-        "bender_limit",
         "limit_probability",
-        "normalization_constant",
         "richardson_check",
         "tightness_report",
     ),
-    "bivariate": ("BivariateSeries",),
     "errata": ("ERRATA", "PUBLISHED_TABLES", "Erratum", "PublishedRow", "published_row"),
     "families": (
         "FAMILIES",
@@ -36,10 +30,8 @@ _SUBMODULE_NAMES = {
         "FamilyId",
         "SolverError",
         "StatKind",
-        "bivariate_series",
         "census_coefficient",
         "census_series",
-        "census_table_from_series",
         "clear_caches",
         "counting_coefficient",
         "counting_series",
@@ -61,11 +53,9 @@ _SUBMODULE_NAMES = {
     "quadratic": ("QuadraticNumber",),
     "ratfunc": ("PoleError", "RationalFunction"),
     "series": (
-        "ConstantTermError",
         "PowerSeries",
         "SeriesError",
         "TruncationError",
-        "ValuationError",
     ),
 }
 _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}

@@ -1,13 +1,16 @@
 """Limit probabilities and convergence diagnostics.
 
-The transfer step is the coefficient-asymptotics lemma for a product
-A(x)B(x): when B's coefficient ratios b_{n-1}/b_n tend to a limit b
-inside A's radius and A(b) != 0, the product's coefficients satisfy
-c_n ~ A(b) b_n.  Applied with A the root-statistic GF and B the
-family multiplier, the limiting probability that a vertex's subtree
-statistic equals k is A(b) * K with K the family's normalization
-constant (the exact limit of multiplier coefficients over vertex
-totals).  Everything except the convergence records is exact.
+The transfer step is Bender's coefficient-asymptotics lemma for a
+product A(x)B(x): when B's coefficient ratios b_{n-1}/b_n tend to a
+limit b inside A's radius, the product's coefficients satisfy
+c_n ~ A(b) b_n.  Applied with A the root-statistic GF and B the family
+multiplier, whose ratio limit is the singularity rho, the limiting
+probability that a vertex's subtree statistic equals k is A(rho) * K,
+with K the family's normalization constant (the exact limit of
+multiplier coefficients over vertex totals).  ``_exact_limit`` computes
+exactly that: K is positive, rho < 1 lies inside the radius of every
+A = P/(1-x)**m, and an empty A evaluates to 0.  Everything except the
+convergence records is exact.
 """
 
 from __future__ import annotations
@@ -23,62 +26,8 @@ from .families import (
     root_stat_gf,
 )
 from .quadratic import QuadraticNumber
-from .ratfunc import PoleError, RationalFunction
 
 DEFAULT_SIZES = (150, 300, 600)
-
-
-class LemmaInapplicableError(ArithmeticError):
-    """The transfer lemma's hypotheses fail in a way that is not forced."""
-
-
-class BenderInput(NamedTuple):
-    """Inputs for one application of the transfer lemma.
-
-    ``gf`` plays the role of A, ``ratio_limit`` is b, and
-    ``normalization`` is the family constant K folded onto A(b).
-    The caller guarantees gf has no pole on [0, b].
-    """
-
-    gf: RationalFunction
-    ratio_limit: QuadraticNumber
-    normalization: QuadraticNumber
-
-
-def bender_limit(inp: BenderInput) -> QuadraticNumber:
-    """A(b) * K, exactly in the quadratic field.
-
-    An identically zero A violates the lemma's A(b) != 0 hypothesis,
-    but the limit is forced to 0 (there is nothing to count), so 0 is
-    returned; ``bender_forced_zero`` reports whether that happened.
-    A pole of A at b raises ``LemmaInapplicableError``.
-    """
-    if inp.normalization.sign() <= 0:
-        raise LemmaInapplicableError("normalization constant must be positive")
-    if inp.gf.is_zero():
-        return QuadraticNumber(0, 0, inp.ratio_limit.radicand)
-    try:
-        value = inp.gf.eval(inp.ratio_limit)
-    except PoleError as err:
-        raise LemmaInapplicableError(f"gf has a pole at the ratio limit: {err}") from err
-    return value * inp.normalization
-
-
-def bender_forced_zero(inp: BenderInput) -> bool:
-    """True when the limit is 0 by emptiness rather than by the lemma."""
-    return inp.gf.is_zero()
-
-
-def normalization_constant(family: FamilyId) -> QuadraticNumber:
-    """Exact K(family): Motzkin 1, ordered 2, full binary 2,
-    Schroeder 2 + sqrt(2).
-
-    K = 1/T(rho), derived from the functional equation.  Each constant
-    equals the limit of (multiplier coefficient n) over (vertex total
-    at n); the Richardson oracle in the test suite re-derives every
-    value from finite-size censuses.
-    """
-    return descriptor(family).normalization
 
 
 class ConvergenceRecord(NamedTuple):
@@ -96,13 +45,14 @@ class AsymptoticProbability(NamedTuple):
     stat: StatKind
     k: int
     exact_value: QuadraticNumber
-    method: str  # "closed-form" | "extrapolated"
+    method: str  # always "closed-form": the exact value is A(rho) * K
     diagnostics: "ConvergenceRecord | None" = None
 
 
 def _exact_limit(family: FamilyId, stat: StatKind, k: int) -> QuadraticNumber:
+    """A(rho) * K: the root-statistic GF at the family's singularity, times K."""
     desc = descriptor(family)
-    return bender_limit(BenderInput(root_stat_gf(family, stat, k), desc.singularity, desc.normalization))
+    return root_stat_gf(family, stat, k).eval(desc.singularity) * desc.normalization
 
 
 def limit_probability(

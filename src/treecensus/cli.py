@@ -19,7 +19,7 @@ import sys
 from itertools import accumulate
 
 from . import __version__
-from .asymptotics import LemmaInapplicableError, limit_probability, tightness_report
+from .asymptotics import limit_probability, tightness_report
 from .errata import ERRATA, published_row
 from .families import (
     DomainError,
@@ -536,7 +536,6 @@ def main(argv: "list[str] | None" = None) -> int:
         ValueError,
         SeriesError,
         SolverError,
-        LemmaInapplicableError,
         OSError,  # an unusable --out, --golden or --write-golden path
     ) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -32,19 +32,14 @@ Lagrange-inversion count of the trees of psi's branching.  So a census
 coefficient is sum_i P_i * [x^(n-i)] multiplier/(1-x)**m: the second
 factor is held per (family, m, bucket), and one coefficient costs
 deg P + 1 products.  ``RationalFunction`` holds exactly this shape.
-The bivariate refinement, one x-adic solver in the size unit and psi,
-is not on that path; the tests fit general rational functions to its
-y-slices (a Pade fit kept on the test side) as an independent
-derivation of the closed forms.
 
 All arithmetic is exact.  Every series here has integer coefficients:
-it is computed on ``int``s, and the ``PowerSeries``, root GF
-numerator or ``BivariateSeries`` row returned holds those ``int``s, so
-no ``Fraction`` is built per coefficient (a finite probability is one
-``Fraction``).  Sequences are cached at
-bucketed truncation orders, or held at the longest order asked for
-(the fixed point), and sliced down, so repeated queries at nearby
-orders share one computation.  Everything here is pure; caches and
+it is computed on ``int``s, and the ``PowerSeries`` or root GF
+numerator returned holds those ``int``s, so no ``Fraction`` is built
+per coefficient (a finite probability is one ``Fraction``).  Sequences
+are cached at bucketed truncation orders, or held at the longest order
+asked for (the fixed point), and sliced down, so repeated queries at
+nearby orders share one computation.  Everything here is pure; caches and
 held solves only memoise deterministic values, and ``clear_caches``
 drops them all.  A family or statistic may be passed as its enum
 member or as the member's string; ``FamilyId`` and ``StatKind`` are
@@ -64,9 +59,8 @@ from math import comb
 from operator import add as _plus
 from operator import mul as _times
 from operator import sub as _minus
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .bivariate import BivariateSeries
 from .quadratic import QuadraticNumber
 from .ratfunc import RationalFunction
 from .series import PowerSeries
@@ -95,10 +89,9 @@ class StatKind(str, Enum):
 class FamilyDescriptor(NamedTuple):
     """One tree family; its size unit and psi determine everything else.
 
-    ``size_unit`` is what x enumerates; ``bivariate_y`` is the statistic
-    y tracks in the bivariate refinement (the other one).  psi counts
-    the vertices with two or more children: t**2/(1-t) (any number from
-    two on) if ``geometric_psi`` is set, else t**2 (exactly two).  The
+    ``size_unit`` is what x enumerates.  psi counts the vertices with
+    two or more children: t**2/(1-t) (any number from two on) if
+    ``geometric_psi`` is set, else t**2 (exactly two).  The
     derived ``singularity`` rho and ``normalization`` K (limit
     probability = root GF at rho, times K) come from ``_spec``.
     """
@@ -106,10 +99,6 @@ class FamilyDescriptor(NamedTuple):
     id: FamilyId
     size_unit: StatKind
     geometric_psi: bool
-
-    @property
-    def bivariate_y(self) -> StatKind:
-        return StatKind.LEAVES if self.size_unit is StatKind.VERTICES else StatKind.VERTICES
 
     @property
     def singularity(self) -> QuadraticNumber:
@@ -141,14 +130,6 @@ def _series_bucket(order: int) -> int:
     if order <= 640:
         return 640
     return 640 * ((order + 639) // 640)
-
-
-def _bucket_x(order: int) -> int:
-    return 64 if order <= 64 else 32 * ((order + 31) // 32)
-
-
-def _bucket_y(order: int) -> int:
-    return 24 if order <= 24 else 8 * ((order + 7) // 8)
 
 
 # -- integer polynomials ----------------------------------------------------------
@@ -406,59 +387,6 @@ def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
     return series
 
 
-# -- bivariate refinement ----------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _bivariate_bucketed(family: FamilyId, order_x: int, order_y: int) -> BivariateSeries:
-    """x-adic solution of the bivariate functional equation, y the other statistic.
-
-    A vertex-counted family has T = x*y + x*(T + psi(T)) (y marks
-    leaves), a leaf-counted one T = x*y + y*psi(T) (y marks vertices),
-    with psi as in ``fixed_point_solve``, whose step rule this is on
-    integer y-polynomials truncated at y**order_y: psi(T) = T**2 as a
-    symmetric sum, or T*(T + psi(T)) against the running T + psi(T).
-    ``BivariateSeries`` keeps the integer rows as they are.
-    """
-    desc = descriptor(family)
-    vertex_counted = desc.size_unit is StatKind.VERTICES
-    size = order_y + 1
-
-    def convolve(pairs: "Iterable[tuple[list[int], list[int]]]") -> "list[int]":
-        out: "list[int]" = []
-        for a, b in pairs:
-            out = _padd(out, _product(a, b, min(len(a) + len(b) - 1, size)))
-        return out
-
-    t: "list[list[int]]" = [[]]
-    psi: "list[list[int]]" = [[]]  # psi(T); T_n needs psi_(n-1) when vertex-counted, psi_n otherwise
-    t_plus_psi: "list[list[int]]" = []  # when psi(T) = T*(T + psi(T))
-    for n in range(1, order_x + 1):
-        j = n - 1 if vertex_counted else n
-        if j == len(psi):
-            if desc.geometric_psi:
-                t_plus_psi.append(_padd(t[j - 1], psi[j - 1]))
-                pj = convolve((t[a], t_plus_psi[j - a]) for a in range(1, j))
-            else:  # the pairs (a, j - a) with a < j/2 twice, the middle once
-                pj = [2 * c for c in convolve((t[a], t[j - a]) for a in range(1, (j + 1) // 2))]
-                if j % 2 == 0:
-                    pj = _padd(pj, convolve([(t[j // 2], t[j // 2])]))
-            psi.append(pj)
-        tn = _padd(t[n - 1], psi[n - 1]) if vertex_counted else [0, *psi[n]][:size]
-        t.append(_padd(tn, [0, 1][:size]) if n == 1 else tn)  # + x*y
-    return BivariateSeries(t, order_x, order_y)
-
-
-def bivariate_series(family: FamilyId, order_x: int, order_y: int) -> BivariateSeries:
-    """Bivariate series with x the family's size unit and y the other statistic."""
-    if order_x < 1 or order_y < 1:
-        raise DomainError("orders must be at least 1")
-    full = _bivariate_bucketed(family, _bucket_x(order_x), _bucket_y(order_y))
-    if full.order_x == order_x and full.order_y == order_y:
-        return full
-    return BivariateSeries(full.rows[: order_x + 1], order_x, order_y)
-
-
 # -- multiplier ----------------------------------------------------------------
 
 
@@ -487,8 +415,7 @@ def root_stat_gf(family: FamilyId, stat: StatKind, k: int) -> RationalFunction:
     each vertex, sum_v N(v, k) * (x/(1-x))**v, that is
     sum_v N(v, k) * x**v * (1-x)**(2k-1-v) over (1-x)**(2k-1), its
     numerator by Horner in (1-x) from the first nonzero term (for
-    psi = t**2 the only one).  The tests rederive these by an exact
-    Pade fit, on the test side, to the y-slices of ``bivariate_series``.
+    psi = t**2 the only one).
     """
     desc, stat = descriptor(family), StatKind(stat)
     if k < 1:
@@ -669,20 +596,6 @@ class CensusTable(NamedTuple):
         return {k: c for (m, k), c in sorted(self.entries.items()) if m == n}
 
 
-def census_table_from_series(family: FamilyId, stat: StatKind, n_max: int) -> CensusTable:
-    """Tabulate census series coefficients for all n <= n_max."""
-    family, stat = FamilyId(family), StatKind(stat)
-    entries: "dict[tuple[int, int], int]" = {}
-    top = max(max_stat_value(family, stat, n_max), 1)
-    for k in range(1, top + 1):
-        series = census_series(family, stat, k, n_max)
-        for n in range(1, n_max + 1):
-            value = series.coefficient(n)
-            if value:
-                entries[(n, k)] = value
-    return CensusTable(family, stat, entries)
-
-
 # -- caches ----------------------------------------------------------------------
 
 # Every memo in this module, bound at import so a rebinding of the public
@@ -690,7 +603,6 @@ def census_table_from_series(family: FamilyId, stat: StatKind, n_max: int) -> Ce
 _CACHED = (
     _spec,
     _series_integers,
-    _bivariate_bucketed,
     root_stat_gf,
     _root_parts,
 )

@@ -8,7 +8,6 @@ expressions such as ``3 - 2*sqrt(2) > 0`` are decided exactly.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 
@@ -226,7 +225,9 @@ class QuadraticNumber:
     # -- conversion / display ----------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.rational_part) + float(self.radical_part) * math.sqrt(self.radicand)
+        from .render import to_decimal  # render imports this module
+
+        return float(to_decimal(self))
 
     def __repr__(self):
         return (

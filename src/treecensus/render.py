@@ -21,17 +21,28 @@ _GUARD_PRECISION = 50
 ExactValue = Union[Fraction, QuadraticNumber]
 
 
+def _decimal(value: Fraction) -> Decimal:
+    return Decimal(value.numerator) / Decimal(value.denominator)
+
+
 def to_decimal(value: ExactValue, precision: int = _GUARD_PRECISION) -> Decimal:
-    """High-precision Decimal image of an exact value (display only)."""
+    """Decimal image of an exact value to ``precision`` significant digits.
+
+    p + q*sqrt(d) with p and q of opposite signs is a small difference of
+    large parts, so it is taken as (p**2 - d*q**2) / (p - q*sqrt(d)),
+    whose denominator adds two terms of one sign: the relative error
+    stays near 10**-precision however many digits the parts have.
+    """
     if isinstance(value, Fraction):
         value = QuadraticNumber(value)
+    p, q, d = value.rational_part, value.radical_part, value.radicand
     with localcontext() as ctx:
         ctx.prec = precision
-        p = Decimal(value.rational_part.numerator) / Decimal(value.rational_part.denominator)
-        if not value.radical_part:
-            return +p
-        q = Decimal(value.radical_part.numerator) / Decimal(value.radical_part.denominator)
-        return p + q * Decimal(value.radicand).sqrt()
+        if not q:
+            return _decimal(p)
+        if (p < 0) == (q < 0) or not p:
+            return _decimal(p) + _decimal(q) * Decimal(d).sqrt()
+        return _decimal(p * p - d * q * q) / (_decimal(p) - _decimal(q) * Decimal(d).sqrt())
 
 
 def decimal_string(value: ExactValue, digits: int = DEFAULT_PRECISION) -> str:

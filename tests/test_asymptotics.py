@@ -1,25 +1,20 @@
 """Transfer step, normalization constants, convergence and tightness."""
 
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from reference_asymptotics import normalization_from_censuses, schroeder_closed_forms
-from reference_ratfunc import rational_scale, rational_zero
+from reference_asymptotics import normalization_from_censuses, reference_decimal, schroeder_closed_forms
 
 from treecensus import (
-    BenderInput,
     FamilyId,
-    LemmaInapplicableError,
     QuadraticNumber,
-    RationalFunction,
     StatKind,
-    bender_forced_zero,
-    bender_limit,
     counting_coefficient,
     descriptor,
     limit_probability,
-    normalization_constant,
     richardson_check,
+    root_stat_gf,
     tightness_report,
     total_leaves,
     total_vertices,
@@ -27,45 +22,24 @@ from treecensus import (
 from treecensus import asymptotics
 from treecensus.render import decimal_string
 
-X = RationalFunction((0, 1))
 SMALL_SIZES = (16, 32, 64)
 
 
-def test_bender_simple_evaluations():
-    third = QuadraticNumber(Fraction(1, 3))
-    assert bender_limit(BenderInput(X, third, QuadraticNumber(1))) == third
-    b = QuadraticNumber(3, -2, 2)
-    k = QuadraticNumber(1, Fraction(1, 2), 2)
-    assert bender_limit(BenderInput(X, b, k)) == QuadraticNumber(1, Fraction(-1, 2), 2)
-
-
 def test_bender_forced_zero():
-    inp = BenderInput(rational_zero(), QuadraticNumber(Fraction(1, 3)), QuadraticNumber(1))
-    assert bender_forced_zero(inp)
-    assert bender_limit(inp) == QuadraticNumber(0)
-
-
-def test_bender_pole_is_inapplicable():
-    over_one_minus = RationalFunction((1,), 1)
-    inp = BenderInput(over_one_minus, QuadraticNumber(1), QuadraticNumber(1))
-    with pytest.raises(LemmaInapplicableError):
-        bender_limit(inp)
-
-
-def test_bender_scale_invariance():
-    b = QuadraticNumber(Fraction(1, 4))
-    k = QuadraticNumber(2)
-    for c in (Fraction(2), Fraction(3, 7), Fraction(11, 5)):
-        base = bender_limit(BenderInput(X, b, k))
-        scaled = bender_limit(BenderInput(rational_scale(X, c), b, k))
-        assert scaled == base * c
+    # an empty root GF evaluates to an exact 0 in the singularity's field
+    empty = ((FamilyId.FULL_BINARY, StatKind.VERTICES, 2), (FamilyId.SCHROEDER, StatKind.VERTICES, 2))
+    for family, stat, k in empty:
+        assert root_stat_gf(family, stat, k).is_zero()
+        limit = limit_probability(family, stat, k).exact_value
+        assert limit == QuadraticNumber(0)
+        assert limit.radicand == descriptor(family).singularity.radicand == 2
 
 
 def test_normalization_constants_frozen_values():
-    assert normalization_constant(FamilyId.MOTZKIN) == QuadraticNumber(1)
-    assert normalization_constant(FamilyId.ORDERED) == QuadraticNumber(2)
-    assert normalization_constant(FamilyId.FULL_BINARY) == QuadraticNumber(2)
-    assert normalization_constant(FamilyId.SCHROEDER) == QuadraticNumber(2, 1, 2)
+    assert descriptor(FamilyId.MOTZKIN).normalization == QuadraticNumber(1)
+    assert descriptor(FamilyId.ORDERED).normalization == QuadraticNumber(2)
+    assert descriptor(FamilyId.FULL_BINARY).normalization == QuadraticNumber(2)
+    assert descriptor(FamilyId.SCHROEDER).normalization == QuadraticNumber(2, 1, 2)
 
 
 def test_singularities_frozen_values():
@@ -86,7 +60,7 @@ def test_singularities_frozen_values():
 def test_normalization_rederived_from_censuses(family):
     """The constants must match the finite-size oracle to 6+ decimals."""
     empirical = normalization_from_censuses(family)
-    frozen = normalization_constant(family)
+    frozen = descriptor(family).normalization
     gap = abs(empirical - frozen)
     assert gap < QuadraticNumber(Fraction(1, 10 ** 6))
 
@@ -146,7 +120,8 @@ def test_limit_probability_attaches_diagnostics():
 
 def test_checked_limit_evaluates_the_exact_limit_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(asymptotics, "bender_limit", lambda inp: calls.append(inp) or bender_limit(inp))
+    exact_limit = asymptotics._exact_limit
+    monkeypatch.setattr(asymptotics, "_exact_limit", lambda *args: calls.append(args) or exact_limit(*args))
     for family in FamilyId:
         for stat in StatKind:
             calls.clear()
@@ -220,3 +195,31 @@ def test_decimal_rendering_reproducible():
         limit_probability(FamilyId.SCHROEDER, StatKind.LEAVES, 1).exact_value, 10
     )
     assert first == second == "0.5857864376"
+
+
+def _rounded(value: Decimal, digits: int = 10) -> str:
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits, ROUND_HALF_EVEN
+        value = +value
+        return format(value.quantize(Decimal(1).scaleb(value.adjusted() - digits + 1)), "f")
+
+
+def _schroeder_values():
+    for stat in StatKind:
+        for k in (27, 40, 80, 200, 1300):
+            yield f"{stat.value} k={k}", limit_probability(FamilyId.SCHROEDER, stat, k).exact_value
+        for k_max in (30, 60):
+            yield f"{stat.value} deficiency k_max={k_max}", tightness_report(FamilyId.SCHROEDER, stat, k_max).deficiency
+
+
+def test_decimals_of_cancelling_field_values():
+    # p + q*sqrt(2) with p, q of opposite signs and up to 2000 digits each:
+    # the printed decimal and float() must match a reference whose working
+    # precision covers the cancellation
+    for label, value in _schroeder_values():
+        assert value.radical_part and (value.rational_part > 0) != (value.radical_part > 0), label
+        reference = reference_decimal(value)
+        assert decimal_string(value) == _rounded(reference), label
+        assert float(value) == float(reference), label
+    leaf27 = limit_probability(FamilyId.SCHROEDER, StatKind.LEAVES, 27).exact_value
+    assert decimal_string(leaf27) == "0.001713213210"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from treecensus import DomainError, LemmaInapplicableError, SeriesError, SolverError, cli, families, oracle
+from treecensus import DomainError, SeriesError, SolverError, cli, families, oracle
 from treecensus.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -265,7 +265,6 @@ def test_verify_out_of_bounds_n_max_exit_code(argv, capsys, tmp_path, monkeypatc
     [
         SeriesError("series failure"),
         SolverError("solver failure"),
-        LemmaInapplicableError("lemma failure"),
         DomainError("domain failure"),
     ],
     ids=lambda err: type(err).__name__,

@@ -8,15 +8,15 @@ and hand its answer to later enum calls.
 """
 
 import pytest
+from reference_bivariate import _bivariate_bucketed, bivariate_series
+from reference_families import census_table_from_series
 
 from treecensus import (
     FamilyId,
     StatKind,
     aggregate_census,
-    bivariate_series,
     census_coefficient,
     census_series,
-    census_table_from_series,
     clear_caches,
     descriptor,
     finite_probability,
@@ -30,8 +30,9 @@ from treecensus import (
     verify_family,
 )
 
-# Each public call that reaches a branch on a family or a statistic; the
-# second element says whether it takes a statistic.
+# Each public call that reaches a branch on a family or a statistic, and
+# the tests' own bivariate solver and census table; the second element
+# says whether it takes a statistic.
 CALLS = {
     "root_stat_gf": (lambda f, s: root_stat_gf(f, s, 3), True),
     "limit_probability": (lambda f, s: limit_probability(f, s, 3).exact_value, True),
@@ -50,14 +51,19 @@ CALLS = {
 }
 
 
+def clear_all():
+    clear_caches()
+    _bivariate_bucketed.cache_clear()
+
+
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_string_names_give_the_enum_values(name):
     call, takes_stat = CALLS[name]
     for family in FamilyId:
         for stat in list(StatKind) if takes_stat else [StatKind.VERTICES]:
-            clear_caches()
+            clear_all()
             expected = call(family, stat)
-            clear_caches()
+            clear_all()
             assert call(family.value, stat.value) == expected, (family, stat)
             assert call(family.value, stat) == expected, (family, stat)
             assert call(family, stat.value) == expected, (family, stat)
