@@ -24,7 +24,6 @@ _SUBMODULE_NAMES = {
     "errata": ("ERRATA", "PUBLISHED_TABLES", "Erratum", "PublishedRow", "published_row"),
     "families": (
         "FAMILIES",
-        "CensusTable",
         "DomainError",
         "FamilyDescriptor",
         "FamilyId",

@@ -68,10 +68,10 @@ def limit_probability(
     against Richardson-extrapolated finite-size probabilities is
     attached.
     """
-    exact = _exact_limit(family, stat, k)
+    diagnostics = richardson_check(family, stat, k, sizes) if check else None
+    exact = diagnostics.exact if check else _exact_limit(family, stat, k)
     if not (0 <= exact <= 1):
         raise ValueError(f"probability {exact} outside [0, 1]")
-    diagnostics = _richardson(family, stat, k, sizes, exact) if check else None
     return AsymptoticProbability(
         family=FamilyId(family),
         stat=StatKind(stat),
@@ -92,15 +92,9 @@ def richardson_check(
 
     The finite probabilities approach the limit with an O(1/n) error
     (square-root singularity), so one elimination step over the two
-    largest sizes is used:  p* = (n2 p2 - n1 p1) / (n2 - n1).
+    largest sizes is used:  p* = (n2 p2 - n1 p1) / (n2 - n1).  The
+    record carries the exact limit and its gap to p*.
     """
-    return _richardson(family, stat, k, sizes)
-
-
-def _richardson(
-    family: FamilyId, stat: StatKind, k: int, sizes: "tuple[int, ...]", exact: "QuadraticNumber | None" = None
-) -> ConvergenceRecord:
-    """``richardson_check``, against ``exact`` when the caller already holds the limit."""
     if len(sizes) < 2:
         raise ValueError("need at least two sizes to extrapolate")
     if list(sizes) != sorted(set(sizes)):
@@ -109,8 +103,7 @@ def _richardson(
     n1, n2 = sizes[-2], sizes[-1]
     p1, p2 = probs[-2], probs[-1]
     extrapolate = Fraction(n2 * p2 - n1 * p1, n2 - n1)
-    if exact is None:
-        exact = _exact_limit(family, stat, k)
+    exact = _exact_limit(family, stat, k)
     gap = abs(QuadraticNumber(extrapolate, 0, exact.radicand) - exact)
     return ConvergenceRecord(tuple(sizes), probs, extrapolate, exact, gap)
 

@@ -29,9 +29,10 @@ both.
 Every root-statistic GF is a closed form P(x)/(1-x)**m with integer P:
 a monomial when the statistic is the size unit, and otherwise a
 Lagrange-inversion count of the trees of psi's branching.  So a census
-coefficient is sum_i P_i * [x^(n-i)] multiplier/(1-x)**m: the second
-factor is held per (family, m, bucket), and one coefficient costs
-deg P + 1 products.  ``RationalFunction`` holds exactly this shape.
+coefficient is sum_i P_i * [x^(n-i)] multiplier/(1-x)**m: P and m are
+read from the cached root GF (``RationalFunction`` holds exactly this
+shape, and P holds ``int``s), the second factor is held per (family, m,
+bucket), and one coefficient costs deg P + 1 products.
 
 All arithmetic is exact.  Every series here has integer coefficients:
 it is computed on ``int``s, and the ``PowerSeries`` or root GF
@@ -453,16 +454,6 @@ def _psi_trees(geometric: bool, v: int, j: int) -> int:
 # -- census series ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _root_parts(family: FamilyId, stat: StatKind, k: int) -> "tuple[tuple[int, ...], int]":
-    """Integer numerator P and exponent m with root GF = P / (1-x)**m."""
-    root = root_stat_gf(family, stat, k)
-    for value in root.numerator:
-        if value.denominator != 1:
-            raise SolverError(f"non-integer root expansion coefficient {value}")
-    return tuple(value.numerator for value in root.numerator), root.exponent
-
-
 # The levels multiplier / (1-x)**m asked for, by (family, bucket) and then
 # by m; ``clear_caches`` drops them.
 _held_sums: "dict[tuple[FamilyId, int], dict[int, tuple[int, ...]]]" = {}
@@ -493,9 +484,9 @@ def census_series(family: FamilyId, stat: StatKind, k: int, order: int) -> Power
         raise DomainError("order must be at least 1")
     if k > max_stat_value(family, stat, order):
         return PowerSeries.zero(order)
-    numerator, m = _root_parts(family, stat, k)
-    summed = _multiplier_sums(family, m, _series_bucket(order))
-    return PowerSeries(_product(numerator, summed, order + 1))
+    root = root_stat_gf(family, stat, k)
+    summed = _multiplier_sums(family, root.exponent, _series_bucket(order))
+    return PowerSeries(_product(root.numerator, summed, order + 1))
 
 
 def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
@@ -508,9 +499,9 @@ def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
         raise DomainError("statistic value k must be at least 1")
     if n < 1 or k > max_stat_value(family, stat, n):
         return 0
-    numerator, m = _root_parts(family, stat, k)
-    summed = _multiplier_sums(family, m, _series_bucket(max(n, 1)))
-    return sum(map(_times, numerator[: n + 1], summed[n::-1]))
+    root = root_stat_gf(family, stat, k)
+    summed = _multiplier_sums(family, root.exponent, _series_bucket(n))
+    return sum(map(_times, root.numerator[: n + 1], summed[n::-1]))
 
 
 # -- totals and probabilities -------------------------------------------------------
@@ -575,27 +566,6 @@ def max_stat_value(family: FamilyId, stat: StatKind, n: int) -> int:
     return max(1, n - 1) if desc.geometric_psi else (n + 1) // 2
 
 
-# -- census tables ----------------------------------------------------------------
-
-
-class CensusTable(NamedTuple):
-    """Exact vertex counts by (tree size n, statistic value k).
-
-    Zero counts are omitted; ``count`` treats missing keys as 0.  For a
-    fixed n the counts over all k partition the vertex total.
-    """
-
-    family: FamilyId
-    stat: StatKind
-    entries: "dict[tuple[int, int], int]"
-
-    def count(self, n: int, k: int) -> int:
-        return self.entries.get((n, k), 0)
-
-    def row(self, n: int) -> "dict[int, int]":
-        return {k: c for (m, k), c in sorted(self.entries.items()) if m == n}
-
-
 # -- caches ----------------------------------------------------------------------
 
 # Every memo in this module, bound at import so a rebinding of the public
@@ -604,7 +574,6 @@ _CACHED = (
     _spec,
     _series_integers,
     root_stat_gf,
-    _root_parts,
 )
 
 

@@ -13,7 +13,9 @@ census of size n gives each size-n tree multiplicity 1 and walks the
 levels downwards: a tree level adds its multiplicities to the histograms
 of its counts, and a block passes its row sums to its first trees and
 its column sums to the forests after them, instead of walking every
-vertex of every tree.  One family's table is held at a time.  Nothing
+vertex of every tree.  Each census is a histogram ``{k: count}`` with
+no zero counts.  One family's table is held at a time, and
+``check_budget`` refuses a size outside the family's budget.  Nothing
 here touches the series machinery except inside ``verify_family``,
 which performs the comparison.
 """
@@ -26,7 +28,6 @@ from operator import add
 from typing import NamedTuple
 
 from .families import (
-    CensusTable,
     FamilyId,
     StatKind,
     census_coefficient,
@@ -45,17 +46,16 @@ DEFAULT_BUDGETS: "dict[FamilyId, int]" = {
 
 
 class BudgetError(ValueError):
-    """Requested size exceeds the enumeration budget."""
+    """Requested size is outside the enumeration budget."""
 
 
-def _check_size(family: FamilyId, n: int, ceiling: "int | None") -> None:
-    ceiling = DEFAULT_BUDGETS[family] if ceiling is None else ceiling
-    if n > ceiling:
-        raise BudgetError(
-            f"size {n} exceeds the {family.value} enumeration budget of {ceiling}"
-        )
-    if n < 1:
-        raise BudgetError(f"no {family.value} trees of size {n}")
+def check_budget(family: FamilyId, n: int) -> None:
+    """Refuse a size outside 1..``DEFAULT_BUDGETS[family]``, the sizes the
+    oracle enumerates, rather than clamp it or check nothing."""
+    family = FamilyId(family)
+    budget = DEFAULT_BUDGETS[family]
+    if not 1 <= n <= budget:
+        raise BudgetError(f"size {n} is outside the {family.value} enumeration budget 1..{budget}")
 
 
 # Each family as data: the size unit, and the child counts an internal
@@ -212,12 +212,8 @@ def _table(family: FamilyId) -> _Table:
 
 
 @lru_cache(maxsize=None)
-def _aggregate(family: FamilyId, n: int) -> "dict[StatKind, CensusTable]":
-    by_vertices, by_leaves = _table(family).census(n)
-    return {
-        StatKind.VERTICES: CensusTable(family, StatKind.VERTICES, {(n, k): m for k, m in by_vertices.items()}),
-        StatKind.LEAVES: CensusTable(family, StatKind.LEAVES, {(n, k): m for k, m in by_leaves.items()}),
-    }
+def _aggregate(family: FamilyId, n: int) -> "tuple[dict[int, int], dict[int, int]]":
+    return _table(family).census(n)
 
 
 def _clear_caches() -> None:
@@ -227,11 +223,14 @@ def _clear_caches() -> None:
     _held = None
 
 
-def aggregate_census(family: FamilyId, n: int, stat: StatKind, ceiling: "int | None" = None) -> CensusTable:
-    """Brute-force vertex counts by statistic value over all size-n trees."""
+def aggregate_census(family: FamilyId, n: int, stat: StatKind) -> "dict[int, int]":
+    """Brute-force vertex counts over all size-n trees, as ``{k: count}``
+    by subtree statistic value k; zero counts are omitted.  The dict is a
+    copy, so a caller may change it without touching the cache."""
     family, stat = FamilyId(family), StatKind(stat)
-    _check_size(family, n, ceiling)
-    return _aggregate(family, n)[stat]
+    check_budget(family, n)
+    by_vertices, by_leaves = _aggregate(family, n)
+    return dict(by_leaves if stat is StatKind.LEAVES else by_vertices)
 
 
 class Mismatch(NamedTuple):
@@ -261,12 +260,7 @@ def verify_family(family: FamilyId, n_max: "int | None" = None) -> VerificationR
     the report rather than raised."""
     family = FamilyId(family)
     n_max = DEFAULT_BUDGETS[family] if n_max is None else n_max
-    if n_max > DEFAULT_BUDGETS[family]:
-        raise BudgetError(
-            f"n_max {n_max} exceeds the {family.value} budget of {DEFAULT_BUDGETS[family]}"
-        )
-    if n_max < 1:
-        raise BudgetError(f"n_max {n_max} leaves nothing to verify; it must be at least 1")
+    check_budget(family, n_max)
     checks = 0
     mismatches: "list[Mismatch]" = []
 
@@ -280,15 +274,13 @@ def verify_family(family: FamilyId, n_max: "int | None" = None) -> VerificationR
         held = _table(family)
         record(None, n, None, "tree count", len(held.levels[held.level(n)].vertices), counting_coefficient(family, n))
         vertex_total = total_vertices(family, n)
-        vertex_table = aggregate_census(family, n, StatKind.VERTICES, ceiling=n_max)
+        histograms = {stat: aggregate_census(family, n, stat) for stat in StatKind}
         # every leaf, and only a leaf, has a one-vertex subtree
-        record(None, n, None, "leaf total", vertex_table.count(n, 1), total_leaves(family, n))
-        for stat in StatKind:
-            table = aggregate_census(family, n, stat, ceiling=n_max)
-            top = max_stat_value(family, stat, n)
+        record(None, n, None, "leaf total", histograms[StatKind.VERTICES].get(1, 0), total_leaves(family, n))
+        for stat, histogram in histograms.items():
             running = 0
-            for k in range(1, top + 1):
-                expected = table.count(n, k)
+            for k in range(1, max_stat_value(family, stat, n) + 1):
+                expected = histogram.get(k, 0)
                 running += expected
                 record(stat, n, k, "census", expected, census_coefficient(family, stat, k, n))
             record(stat, n, None, "census partition", running, vertex_total)

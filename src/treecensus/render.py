@@ -16,7 +16,10 @@ from typing import Any, Sequence, Union
 from .quadratic import QuadraticNumber
 
 DEFAULT_PRECISION = 10
+# ``decimal_string`` works at max(_GUARD_PRECISION, digits + _GUARD_DIGITS)
+# digits: 50 up to DEFAULT_PRECISION, and 40 guard digits beyond it.
 _GUARD_PRECISION = 50
+_GUARD_DIGITS = 40
 
 ExactValue = Union[Fraction, QuadraticNumber]
 
@@ -49,7 +52,7 @@ def decimal_string(value: ExactValue, digits: int = DEFAULT_PRECISION) -> str:
     """Round-half-even rendering with exactly ``digits`` significant digits."""
     if digits < 1:
         raise ValueError("need at least one significant digit")
-    d = to_decimal(value)
+    d = to_decimal(value, max(_GUARD_PRECISION, digits + _GUARD_DIGITS))
     if d == 0:
         return "0"
     with localcontext() as ctx:

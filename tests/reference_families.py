@@ -34,7 +34,6 @@ from reference_ratfunc import rational_zero
 from reference_series import Series
 
 from treecensus import (
-    CensusTable,
     FamilyId,
     PowerSeries,
     RationalFunction,
@@ -275,8 +274,9 @@ def _kirkman_cayley(k: int) -> "list[int]":
     return out
 
 
-def census_table_from_series(family: FamilyId, stat: StatKind, n_max: int) -> CensusTable:
-    """Tabulate the package's census series coefficients for all n <= n_max."""
+def census_table_from_series(family: FamilyId, stat: StatKind, n_max: int) -> "dict[tuple[int, int], int]":
+    """The package's nonzero census series coefficients for all n <= n_max,
+    as ``{(n, k): count}``."""
     family, stat = FamilyId(family), StatKind(stat)
     entries: "dict[tuple[int, int], int]" = {}
     top = max(max_stat_value(family, stat, n_max), 1)
@@ -286,4 +286,4 @@ def census_table_from_series(family: FamilyId, stat: StatKind, n_max: int) -> Ce
             value = series.coefficient(n)
             if value:
                 entries[(n, k)] = value
-    return CensusTable(family, stat, entries)
+    return entries

@@ -223,3 +223,14 @@ def test_decimals_of_cancelling_field_values():
         assert float(value) == float(reference), label
     leaf27 = limit_probability(FamilyId.SCHROEDER, StatKind.LEAVES, 27).exact_value
     assert decimal_string(leaf27) == "0.001713213210"
+
+
+@pytest.mark.parametrize("digits", [60, 500])
+def test_long_decimals_match_the_reference(digits):
+    # every digit asked for is computed, for field values and rationals alike
+    rationals = [
+        (f"motzkin vertices k={k}", limit_probability(FamilyId.MOTZKIN, StatKind.VERTICES, k).exact_value)
+        for k in (3, 7)
+    ]
+    for label, value in [*_schroeder_values(), *rationals]:
+        assert decimal_string(value, digits) == _rounded(reference_decimal(value, digits + 20), digits), label

@@ -255,7 +255,7 @@ def test_verify_out_of_bounds_n_max_exit_code(argv, capsys, tmp_path, monkeypatc
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: --n-max ")
+    assert captured.err.startswith("error: size ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "unused.csv").exists()
 
@@ -382,6 +382,35 @@ def test_range_bound_is_exact_and_in_help(capsys):
         text = " ".join(capsys.readouterr().out.split())
         assert command == "tightness" or f"(at most {cli.MAX_RANGE_VALUES} values)" in text
         assert f"<= {cli.MAX_ORDER}" in text, command
+
+
+@pytest.mark.parametrize("digits", ["0", str(cli.MAX_PRECISION + 1)])
+@pytest.mark.parametrize("command, k_flag", [("table", "--k"), ("prob", "--k"), ("tightness", "--k-max")])
+def test_precision_outside_the_bound_exits_2_before_any_value(command, k_flag, digits, capsys, monkeypatch):
+    for name in ("limit_probability", "finite_probability", "tightness_report"):
+        monkeypatch.setattr(cli, name, None)  # a call would raise TypeError, not exit 2
+    code = main([command, "--family", "motzkin", "--stat", "vertices", k_flag, "3", "--precision", digits])
+    _assert_one_line_error(code, capsys.readouterr(), f"error: --precision {digits} is outside 1..{cli.MAX_PRECISION}")
+
+
+def test_precision_at_the_bound_is_admitted_and_in_help(capsys):
+    top = str(cli.MAX_PRECISION)
+    code, out = run(capsys, "prob", "--family", "schroeder", "--stat", "leaves", "--k", "1", "--precision", top, "--format", "csv")
+    assert code == 0
+    decimal = out.splitlines()[-1].split(",")[-1]
+    assert decimal.startswith("0.5857864376269") and len(decimal) == len("0.") + cli.MAX_PRECISION
+    for command in ("table", "prob", "tightness"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"(at most {top})" in " ".join(capsys.readouterr().out.split()), command
+
+
+def test_prob_check_with_n_exits_2(capsys, monkeypatch):
+    # the diagnostics are the limit's; a finite probability has none, so
+    # the flag is refused rather than ignored
+    monkeypatch.setattr(cli, "finite_probability", None)
+    code = main(["prob", "--family", "motzkin", "--stat", "vertices", "--k", "1", "--n", "5", "--check"])
+    _assert_one_line_error(code, capsys.readouterr(), "error: --check diagnoses a limit")
 
 
 @pytest.mark.parametrize(

@@ -71,9 +71,9 @@ def test_string_names_give_the_enum_values(name):
 
 
 def test_records_carry_the_members():
-    table = census_table_from_series("motzkin", "leaves", 4)
-    assert table.family is FamilyId.MOTZKIN and table.stat is StatKind.LEAVES
-    assert aggregate_census("ordered", 4, "vertices").family is FamilyId.ORDERED
+    by_name = census_table_from_series("motzkin", "leaves", 4)
+    assert by_name == census_table_from_series(FamilyId.MOTZKIN, StatKind.LEAVES, 4)
+    assert aggregate_census("ordered", 4, "vertices") == aggregate_census(FamilyId.ORDERED, 4, StatKind.VERTICES)
     assert verify_family("fullbinary", 3).family is FamilyId.FULL_BINARY
     limit = limit_probability("motzkin", "leaves", 3)
     assert limit.family is FamilyId.MOTZKIN and limit.stat is StatKind.LEAVES

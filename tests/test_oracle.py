@@ -82,7 +82,7 @@ def test_leaf_counted_sizes():
 
 
 def test_budget_refusal_mentions_budget():
-    with pytest.raises(BudgetError, match="budget of 14"):
+    with pytest.raises(BudgetError, match="outside the motzkin enumeration budget 1..14"):
         aggregate_census(FamilyId.MOTZKIN, 15, StatKind.VERTICES)
     with pytest.raises(BudgetError):
         aggregate_census(FamilyId.SCHROEDER, 11, StatKind.LEAVES)
@@ -120,13 +120,15 @@ def test_census_self_consistency():
 
 def test_aggregate_census_examples():
     motzkin = aggregate_census(FamilyId.MOTZKIN, 3, StatKind.VERTICES)
-    assert motzkin.row(3) == {1: 3, 2: 1, 3: 2}
-    assert sum(motzkin.row(3).values()) == 3 * counting_coefficient(FamilyId.MOTZKIN, 3)
+    assert motzkin == {1: 3, 2: 1, 3: 2}
+    assert sum(motzkin.values()) == 3 * counting_coefficient(FamilyId.MOTZKIN, 3)
+    motzkin[1] = 0  # a copy: the cached histogram is untouched
+    assert aggregate_census(FamilyId.MOTZKIN, 3, StatKind.VERTICES) == {1: 3, 2: 1, 3: 2}
     binary = aggregate_census(FamilyId.FULL_BINARY, 3, StatKind.LEAVES)
-    assert binary.row(3) == {1: 6, 2: 2, 3: 2}
+    assert binary == {1: 6, 2: 2, 3: 2}
     for n in range(1, 7):
         ordered = aggregate_census(FamilyId.ORDERED, n, StatKind.VERTICES)
-        assert ordered.count(n, n) == counting_coefficient(FamilyId.ORDERED, n)
+        assert ordered[n] == counting_coefficient(FamilyId.ORDERED, n)
 
 
 def test_aggregate_partition_matches_totals():
@@ -134,7 +136,7 @@ def test_aggregate_partition_matches_totals():
         for stat in StatKind:
             for n in range(1, 7):
                 table = aggregate_census(family, n, stat)
-                assert sum(table.row(n).values()) == total_vertices(family, n)
+                assert sum(table.values()) == total_vertices(family, n)
 
 
 def test_serialization_round_shape():
@@ -156,14 +158,14 @@ def test_verify_family_rejects_overbudget():
 @pytest.mark.parametrize("n_max", [0, -3])
 def test_verify_family_rejects_vacuous_request(n_max):
     # a report with zero checks must not read as a pass
-    with pytest.raises(BudgetError, match="at least 1"):
+    with pytest.raises(BudgetError, match=f"size {n_max} is outside the motzkin enumeration budget 1..14"):
         verify_family(FamilyId.MOTZKIN, n_max)
 
 
 def test_full_binary_even_vertex_rows_are_empty():
     # no subtree of a full binary tree has an even vertex count
     table = aggregate_census(FamilyId.FULL_BINARY, 6, StatKind.VERTICES)
-    for (n, k), count in table.entries.items():
+    for k, count in table.items():
         assert k % 2 == 1 and count > 0
 
 
@@ -198,8 +200,7 @@ def test_aggregate_matches_per_tree_walk(family):
             StatKind.LEAVES: Counter(vertex.subtree_leaves for vertex in vertices),
         }
         for stat in StatKind:
-            expected = {(n, k): count for k, count in walked[stat].items()}
-            assert aggregate_census(family, n, stat).entries == expected, (family, n, stat)
+            assert aggregate_census(family, n, stat) == dict(walked[stat]), (family, n, stat)
 
 
 def test_subtree_counts_count_repeated_child_objects():
