@@ -280,10 +280,12 @@ def _cmd_verify(args) -> int:
     if args.n_max is not None:
         for family in families:
             check_budget(family, args.n_max)
-    # Refuse an unusable path before the enumeration, which takes seconds.
-    # The csv is written before it is checked, so the same path may be both.
+    # Refuse an unusable path or golden file before the enumeration, which
+    # takes seconds.  The csv is written before it is read, so the same path
+    # may be both.
+    golden_rows = None
     if args.golden and not (args.write_golden and os.path.abspath(args.golden) == os.path.abspath(args.write_golden)):
-        open(args.golden, "rb").close()
+        golden_rows = _read_golden(args.golden)
     if args.write_golden:
         open(args.write_golden, "a", encoding="utf-8").close()
     for family in families:
@@ -294,7 +296,7 @@ def _cmd_verify(args) -> int:
     if args.write_golden:
         _write_golden(args.write_golden, families, args.n_max)
     if args.golden:
-        golden_result = _check_golden(args.golden)
+        golden_result = _check_golden(args.golden, golden_rows or _read_golden(args.golden))
         all_passed &= golden_result["passed"]
 
     headers = ["family", "n_max", "checks", "mismatches", "status"]
@@ -350,12 +352,15 @@ def _write_golden(path: str, families, n_max_flag) -> None:
         fh.write(to_csv(_GOLDEN_COLUMNS, list(_golden_rows(families, n_max_flag))))
 
 
-def _check_golden(path: str) -> dict:
-    """Recompute every row of a stored census csv; a file with no rows is refused."""
+def _read_golden(path: str) -> list:
+    """The (family, stat, n, k, count) rows of a stored census csv.
+
+    A file with no rows, or a row with too few or too many fields or
+    an n above ``MAX_ORDER``, is refused, before anything is computed.
+    """
     import csv as _csv
 
-    mismatches = []
-    checked = 0
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv.DictReader(fh)
         if reader.fieldnames is not None:
@@ -363,20 +368,29 @@ def _check_golden(path: str) -> dict:
             if missing:
                 raise ValueError(f"golden file {path} lacks the column(s) {', '.join(missing)}")
         for row in reader:
+            where = f"golden file {path}, line {reader.line_num}"
             if None in row.values():
-                raise ValueError(f"golden file {path}, line {reader.line_num}: too few fields")
-            family = FamilyId(row["family"])
-            stat = StatKind(row["stat"])
-            n, k, count = int(row["n"]), int(row["k"]), int(row["count"])
-            actual = census_coefficient(family, stat, k, n)
-            checked += 1
-            if actual != count:
-                mismatches.append(
-                    {"family": family.value, "stat": stat.value, "n": n, "k": k, "stored": count, "computed": actual}
-                )
-    if not checked:
+                raise ValueError(f"{where}: too few fields")
+            if None in row:  # DictReader's key for the fields past the header's
+                raise ValueError(f"{where}: more fields than the header's {len(reader.fieldnames)}")
+            n = int(row["n"])
+            _check_order(f"{where}: n", n)
+            rows.append((FamilyId(row["family"]), StatKind(row["stat"]), n, int(row["k"]), int(row["count"])))
+    if not rows:
         raise ValueError(f"golden file {path} has no rows to check")
-    return {"path": path, "checked": checked, "mismatches": mismatches, "passed": not mismatches}
+    return rows
+
+
+def _check_golden(path: str, rows: list) -> dict:
+    """Recompute every row read from a stored census csv."""
+    mismatches = []
+    for family, stat, n, k, count in rows:
+        actual = census_coefficient(family, stat, k, n)
+        if actual != count:
+            mismatches.append(
+                {"family": family.value, "stat": stat.value, "n": n, "k": k, "stored": count, "computed": actual}
+            )
+    return {"path": path, "checked": len(rows), "mismatches": mismatches, "passed": not mismatches}
 
 
 # -- errata ------------------------------------------------------------------------

@@ -32,7 +32,9 @@ Lagrange-inversion count of the trees of psi's branching.  So a census
 coefficient is sum_i P_i * [x^(n-i)] multiplier/(1-x)**m: P and m are
 read from the cached root GF (``RationalFunction`` holds exactly this
 shape, and P holds ``int``s), the second factor is held per (family, m,
-bucket), and one coefficient costs deg P + 1 products.
+bucket), and one coefficient reads and multiplies only the deg P + 1
+entries of it that P meets.  A census series is the product of P with
+that factor, where a unit P_i (most are) adds a slice unscaled.
 
 All arithmetic is exact.  Every series here has integer coefficients:
 it is computed on ``int``s, and the ``PowerSeries`` or root GF
@@ -119,7 +121,8 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
 
 
 def descriptor(family: FamilyId) -> FamilyDescriptor:
-    return FAMILIES[FamilyId(family)]
+    # a member or its string is a key as it is; FamilyId() refuses an unknown name
+    return FAMILIES.get(family) or FAMILIES[FamilyId(family)]
 
 
 # -- truncation buckets --------------------------------------------------------
@@ -137,12 +140,18 @@ def _series_bucket(order: int) -> int:
 
 
 def _product(a: "Sequence[int]", b: "Sequence[int]", size: int) -> "list[int]":
-    """The first ``size`` coefficients of the product of two integer polynomials."""
+    """The first ``size`` coefficients of the product of two integer polynomials.
+
+    Each nonzero a_j places b's first size - j coefficients from x**j:
+    written for the first, added after it, and scaled unless a_j = 1.
+    """
     out = [0] * size
+    fresh = True  # out is still all zeros
     for j, c in enumerate(a[:size]):
         if c:
-            tail = b[: size - j]
-            out[j : j + len(tail)] = map(_plus, out[j : j + len(tail)], [c * d for d in tail])
+            tail = b[: size - j] if c == 1 else [c * d for d in b[: size - j]]
+            out[j : j + len(tail)] = tail if fresh else map(_plus, out[j : j + len(tail)], tail)
+            fresh = False
     return out
 
 
@@ -466,7 +475,7 @@ def _multiplier_sums(family: FamilyId, m: int, bucket: int) -> "tuple[int, ...]"
     highest held level below m of the same family and bucket, or from
     the multiplier, and held; only the levels asked for are held.
     """
-    levels = _held_sums.setdefault((descriptor(family).id, bucket), {})
+    levels = _held_sums.setdefault((family, bucket), {})
     values = levels.get(m)
     if values is None:
         below = max((j for j in levels if j < m), default=0)
@@ -490,9 +499,10 @@ def census_series(family: FamilyId, stat: StatKind, k: int, order: int) -> Power
 
 
 def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
-    """Single census coefficient: the root numerator P against the
-    cached multiplier / (1-x)**m, deg P + 1 products; 0, with no root
-    GF built, when n < 1 or k exceeds ``max_stat_value``."""
+    """Single census coefficient: P_0..P_n against the matching window,
+    entries n - deg P..n reversed, of the held multiplier / (1-x)**m,
+    min(deg P, n) + 1 products and no O(n) copy; 0, with no root GF
+    built, when n < 1 or k exceeds ``max_stat_value``."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     if k < 1:
@@ -500,8 +510,9 @@ def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
     if n < 1 or k > max_stat_value(family, stat, n):
         return 0
     root = root_stat_gf(family, stat, k)
+    numerator = root.numerator[: n + 1]
     summed = _multiplier_sums(family, root.exponent, _series_bucket(n))
-    return sum(map(_times, root.numerator[: n + 1], summed[n::-1]))
+    return sum(map(_times, numerator, reversed(summed[n + 1 - len(numerator) : n + 1])))
 
 
 # -- totals and probabilities -------------------------------------------------------
@@ -554,10 +565,9 @@ def max_stat_value(family: FamilyId, stat: StatKind, n: int) -> int:
     A vertex-counted tree with n vertices has at most (n+1)//2 leaves
     when psi = t**2, and n-1 (a root with n-1 leaf children) otherwise.
     """
-    family, stat = FamilyId(family), StatKind(stat)
+    desc, stat = descriptor(family), StatKind(stat)
     if n < 1:
-        raise DomainError(f"no {family.value} trees of size {n}")
-    desc = descriptor(family)
+        raise DomainError(f"no {desc.id.value} trees of size {n}")
     leaf_counted = desc.size_unit is StatKind.LEAVES
     if stat is StatKind.VERTICES:
         return 2 * n - 1 if leaf_counted else n

@@ -482,13 +482,32 @@ def test_write_golden_then_check_the_same_path(tmp_path, capsys):
         ("family,stat,n,k,count\n", "has no rows to check"),
         ("family,stat,n,count\nmotzkin,vertices,1,1\n", "lacks the column(s) k"),
         ("family,stat,n,k,count\nmotzkin,vertices,1\n", "line 2: too few fields"),
+        ("family,stat,n,k,count\nmotzkin,vertices,1,1,1,99\n", "line 2: more fields than the header's 5"),
+        (
+            "family,stat,n,k,count\nmotzkin,vertices,1,1,1\nmotzkin,vertices,20000,1,5\n",
+            f"line 3: n 20000 is above the highest order a request may reach, {cli.MAX_ORDER}",
+        ),
     ],
-    ids=["empty", "header-only", "missing-column", "short-row"],
+    ids=["empty", "header-only", "missing-column", "short-row", "long-row", "order-above-bound"],
 )
-def test_unusable_golden_file_exit_code(text, message, capsys, tmp_path):
+def test_unusable_golden_file_exit_code(text, message, capsys, tmp_path, monkeypatch):
+    def compute_nothing(*args, **kwargs):
+        raise AssertionError("verify computed before refusing the golden file")
+
+    # the file is read whole before any tree is enumerated or row recomputed
+    monkeypatch.setattr(oracle, "verify_family", compute_nothing)
+    monkeypatch.setattr(cli, "census_coefficient", compute_nothing)
     golden = tmp_path / "golden.csv"
     golden.write_text(text)
     code = main(["verify", "--family", "motzkin", "--n-max", "3", "--golden", str(golden)])
     captured = capsys.readouterr()
     _assert_one_line_error(code, captured)
     assert message in captured.err
+
+
+def test_golden_row_at_the_order_bound_is_checked(capsys, tmp_path):
+    golden = tmp_path / "golden.csv"
+    count = families.census_coefficient("motzkin", "vertices", 1, cli.MAX_ORDER)
+    golden.write_text(f"family,stat,n,k,count\nmotzkin,vertices,{cli.MAX_ORDER},1,{count}\n")
+    code, out = run(capsys, "verify", "--family", "motzkin", "--n-max", "1", "--golden", str(golden), "--format=json")
+    assert code == 0 and json.loads(out)["golden"]["checked"] == 1

@@ -469,6 +469,38 @@ def test_census_coefficient_matches_series():
             series = census_series(family, stat, 2, 12)
             for n in range(13):
                 assert census_coefficient(family, stat, 2, n) == series.coefficient(n)
+            # sizes below deg P cut the coefficient's window short; 64/65 and
+            # 640/641 are bucket edges, 1300 the highest order a CLI request reaches
+            for k in range(1, 9):
+                degree = len(root_stat_gf(family, stat, k).numerator) - 1
+                for n in sorted(n for n in {1, degree - 1, degree, 64, 65, 640, 641, 1300} if n >= 1):
+                    expected = census_series(family, stat, k, n).coefficient(n)
+                    assert census_coefficient(family, stat, k, n) == expected, (family, stat, k, n)
+
+
+def _double_loop_product(a, b, size):
+    out = [0] * size
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < size:
+                out[i + j] += x * y
+    return out
+
+
+# unit, zero, negative and non-unit coefficients, a unit after a non-unit and
+# a non-unit after a unit, and leading zeros (a first slice not at x**0)
+_FACTORS = (
+    (), (0,), (1,), (-1,), (5,), (0, 1), (1, 1, 0, 1), (0, 0, 3, -1, 1), (-2, 1, 0, 1, 1, -7), (1, 0, 0, 0, 0, 0, 0, 4)
+)
+
+
+@pytest.mark.parametrize("a", _FACTORS)
+def test_product_matches_a_double_loop(a):
+    for b in _FACTORS:
+        for size in range(len(a) + len(b) + 3):  # shorter and longer than either factor
+            for left, right in ((a, b), (b, a)):
+                expected = _double_loop_product(left, right, size)
+                assert families._product(left, right, size) == expected, (left, right, size)
 
 
 def test_totals():
@@ -724,6 +756,13 @@ def test_multiplier_sums_build_on_the_nearest_held_level(family):
         for m in (7, 3, 5, 1, 63, 199):
             assert families._multiplier_sums(family, m, bucket) == levels[m], (bucket, m)
         assert sorted(families._held_sums[family, bucket]) == [1, 3, 5, 7, 63, 199]
+        for m in (0, 1, 2, 7, 63):  # each level built from the multiplier alone
+            families._held_sums.clear()
+            assert families._multiplier_sums(family, m, bucket) == levels[m], (bucket, m)
+        families._held_sums.clear()
+        for m in (0, 1, 2, 7, 63):  # each level built from the one held below it
+            assert families._multiplier_sums(family, m, bucket) == levels[m], (bucket, m)
+        assert sorted(families._held_sums[family, bucket]) == [0, 1, 2, 7, 63]
     clear_caches()
 
 
