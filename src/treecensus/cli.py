@@ -355,8 +355,9 @@ def _write_golden(path: str, families, n_max_flag) -> None:
 def _read_golden(path: str) -> list:
     """The (family, stat, n, k, count) rows of a stored census csv.
 
-    A file with no rows, or a row with too few or too many fields or
-    an n above ``MAX_ORDER``, is refused, before anything is computed.
+    A file with no rows, or a row with too few or too many fields, a
+    negative n, an n above ``MAX_ORDER`` or a k below 1, is refused,
+    before anything is computed.
     """
     import csv as _csv
 
@@ -373,9 +374,13 @@ def _read_golden(path: str) -> list:
                 raise ValueError(f"{where}: too few fields")
             if None in row:  # DictReader's key for the fields past the header's
                 raise ValueError(f"{where}: more fields than the header's {len(reader.fieldnames)}")
-            n = int(row["n"])
+            n, k = int(row["n"]), int(row["k"])
+            if n < 0:
+                raise ValueError(f"{where}: n {n} is negative")
+            if k < 1:
+                raise ValueError(f"{where}: k {k} is below 1")
             _check_order(f"{where}: n", n)
-            rows.append((FamilyId(row["family"]), StatKind(row["stat"]), n, int(row["k"]), int(row["count"])))
+            rows.append((FamilyId(row["family"]), StatKind(row["stat"]), n, k, int(row["count"])))
     if not rows:
         raise ValueError(f"golden file {path} has no rows to check")
     return rows

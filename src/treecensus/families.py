@@ -8,13 +8,8 @@ full binary) or t**2/(1-t) (ordered, Schroeder).  Everything else
 follows from it.  It is quadratic in T, so the counting series and the
 "multiplier" transfer series are both affine in one radical
 S = 1/sqrt(Delta), whose smallest positive root gives rho and K
-(``_spec``).  ``fixed_point_solve`` solves the equation online in
-integers, one coefficient a step, and checks each new coefficient by
-applying the equation once more in integers, independently of the step
-rule: one convolution per family, a symmetric half-sum for t**2 and the
-inverse 1/(1-s) for t**2/(1-t).  It holds one solve per family, the
-longest checked prefix, and extends it in place, so a request at a
-higher order pays only the new coefficients and their check.
+(``_spec``).  ``fixed_point_solve`` derives the counting series a
+second way, online in integers, checking each new coefficient.
 
 The census series for a subtree statistic factors as
 
@@ -31,24 +26,22 @@ a monomial when the statistic is the size unit, and otherwise a
 Lagrange-inversion count of the trees of psi's branching.  So a census
 coefficient is sum_i P_i * [x^(n-i)] multiplier/(1-x)**m: P and m are
 read from the cached root GF (``RationalFunction`` holds exactly this
-shape, and P holds ``int``s), the second factor is held per (family, m,
-bucket), and one coefficient reads and multiplies only the deg P + 1
-entries of it that P meets.  A census series is the product of P with
-that factor, where a unit P_i (most are) adds a slice unscaled.
+shape, and P holds ``int``s), the second factor is held per (family, m),
+and one coefficient reads and multiplies only the deg P + 1 entries of
+it that P meets.  A census series is the product of P with that factor,
+where a unit P_i (most are) adds a slice unscaled.
 
 All arithmetic is exact.  Every series here has integer coefficients:
 it is computed on ``int``s, and the ``PowerSeries`` or root GF
 numerator returned holds those ``int``s, so no ``Fraction`` is built
-per coefficient (a finite probability is one ``Fraction``).  Sequences
-are cached at bucketed truncation orders, or held at the longest order
-asked for (the fixed point), and sliced down, so repeated queries at
-nearby orders share one computation.  Everything here is pure; caches and
-held solves only memoise deterministic values, and ``clear_caches``
-drops them all.  A family or statistic may be passed as its enum
-member or as the member's string; ``FamilyId`` and ``StatKind`` are
-``str`` enums, so a cache keys both alike, and every function that
-branches on one converts it to the member first, inside the cached
-body (the held solves are keyed by the member).
+per coefficient (a finite probability is one ``Fraction``).  Each
+sequence is held through the highest order asked for and extended in
+place, so a request reads a slice or a window of it.  Everything here
+is pure; caches and held sequences only memoise deterministic values,
+and ``clear_caches`` drops them all.  A family or statistic may be
+passed as its enum member or as the member's string; both are ``str``
+enums, so a cache or holder keys both alike, and every function that
+branches on one converts it to the member first.
 """
 
 from __future__ import annotations
@@ -123,17 +116,6 @@ FAMILIES: "dict[FamilyId, FamilyDescriptor]" = {
 def descriptor(family: FamilyId) -> FamilyDescriptor:
     # a member or its string is a key as it is; FamilyId() refuses an unknown name
     return FAMILIES.get(family) or FAMILIES[FamilyId(family)]
-
-
-# -- truncation buckets --------------------------------------------------------
-
-
-def _series_bucket(order: int) -> int:
-    if order <= 64:
-        return 64
-    if order <= 640:
-        return 640
-    return 640 * ((order + 639) // 640)
 
 
 # -- integer polynomials ----------------------------------------------------------
@@ -237,18 +219,26 @@ def _spec(desc: FamilyDescriptor) -> _Spec:
     return _Spec(delta, (_poly((-1, delta)), _poly((-1, b)), 2 * a0, i), multiplier, rho, -2 * a_rho / b_rho)
 
 
-@lru_cache(maxsize=None)
-def _series_integers(family: FamilyId, order: int) -> "tuple[tuple[int, ...], tuple[int, ...]]":
-    """The counting series and the multiplier through x**order, from one S.
+# Per family, the counting series, the multiplier and S = 1/sqrt(Delta)
+# through the highest order asked for; an extension stores a longer triple.
+_held_series: "dict[FamilyId, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]" = {}
+
+
+def _series_integers(family: FamilyId, order: int) -> "tuple[tuple[int, ...], ...]":
+    """The counting series and the multiplier through at least x**order, from one S.
 
     2*Delta*S' = -Delta'*S gives 2n*s_n = -sum_(i>=1) Delta_i*(2n - i)*s_(n-i),
     then each series is (p*S + q)/(d*x**e).  Every division must be
-    exact and p*S + q must vanish below x**e, else ``SolverError``.
+    exact and p*S + q must vanish below x**e, else ``SolverError``.  A
+    request past the held order resumes S and computes only new entries.
     """
+    held = _held_series.get(family)
+    if held is not None and len(held[0]) > order:
+        return held
     spec = _spec(descriptor(family))
+    s = [*held[2]] if held else [1]
     terms = [(i, c) for i, c in enumerate(spec.delta) if i and c]
-    s = [1]
-    for n in range(1, order + max(spec.counting[3], spec.multiplier[3]) + 1):
+    for n in range(len(s), order + max(spec.counting[3], spec.multiplier[3]) + 1):
         acc = 0
         for i, c in terms:
             if i <= n:
@@ -258,26 +248,41 @@ def _series_integers(family: FamilyId, order: int) -> "tuple[tuple[int, ...], tu
             raise SolverError(f"non-integer coefficient of 1/sqrt(Delta) at n = {n}")
         s.append(value)
     series = []
-    for what, (p, q, d, e) in (("count", spec.counting), ("multiplier", spec.multiplier)):
-        values = [divmod(c, d) for c in _poly((1, p, s), (1, q))[: order + e + 1]]
-        bad = [k - e for k, (value, remainder) in enumerate(values) if remainder or (value and k < e)]
+    for what, (p, q, d, e), done in zip(("count", "multiplier"), spec[1:3], held or ((), ())):
+        low, top = len(done) + e if done else 0, order + e + 1  # cold: check below x**e too
+        start = max(low - len(p) + 1, 0)  # p*S from x**low on reads s from x**(low - deg p) on
+        p_s = _product(p, s[start:top], top - start)[low - start :]  # at x**low..x**(top - 1)
+        pairs = [divmod(c, d) for c in _padd(p_s, q[low:])[: top - low]]  # p*S + q
+        bad = [k - e for k, (value, remainder) in enumerate(pairs, low) if remainder or (value and k < e)]
         if bad:
             raise SolverError(f"non-integer {what} coefficient at n = {bad[0]}")
-        series.append(tuple(value for value, _ in values[e:]))
-    return series[0], series[1]
+        series.append((*done, *(value for value, _ in pairs[max(e - low, 0) :])))
+    held = _held_series[family] = (*series, tuple(s))
+    return held
 
 
 def counting_series(family: FamilyId, order: int) -> PowerSeries:
     """Truncated counting generating function, from ``_series_integers``."""
     if order < 1:
         raise DomainError("order must be at least 1")
-    return PowerSeries(_series_integers(family, _series_bucket(order))[0][: order + 1])
+    return PowerSeries(_series_integers(family, order)[0][: order + 1])
 
 
 def counting_coefficient(family: FamilyId, n: int) -> int:
     if n < 0:
         raise DomainError("n must be nonnegative")
-    return _series_integers(family, _series_bucket(max(n, 1)))[0][n]
+    return _series_integers(family, n)[0][n]
+
+
+def multiplier_gf(family: FamilyId, order: int) -> PowerSeries:
+    """Transfer factor: census GF = root-statistic GF * multiplier.
+
+    For the leaf-counted families the multiplier is the derivative of
+    the counting series.
+    """
+    if order < 0:
+        raise DomainError("order must be nonnegative")
+    return PowerSeries(_series_integers(family, order)[1][: order + 1])
 
 
 # -- functional equations --------------------------------------------------------
@@ -364,22 +369,19 @@ _held_solves: "dict[FamilyId, _Solve]" = {}
 def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
     """Solve the family's functional equation s = Phi(s) online.
 
-    A vertex-counted family has Phi(s) = x*(1 + s + psi(s)), a
-    leaf-counted one Phi(s) = x + psi(s), with psi(t) = t**2 or
-    t**2/(1-t) as the descriptor's ``geometric_psi`` says.  ``_step``
-    pins s_m from s_1..s_(m-1), O(order**2) integer work in all.
+    Phi(s) is the right side of the functional equation (see the module
+    docstring).  ``_step`` pins s_m from s_1..s_(m-1), O(order**2)
+    integer work in all.
 
     Each family holds one solve, its longest checked prefix.  A request
     at or below its order is a slice of it.  A request above it
     continues the step rule from there on copies of the running arrays,
     and ``_phi_terms`` applies Phi once more to the new coefficients
     only, from the final coefficients and independently of the step
-    rule (psi = s**2 as a half-sum, or psi = 1/(1-s) - 1 - s with its
-    own running g); each must be reproduced exactly, otherwise the
-    equation was mis-encoded, ``SolverError`` is raised and the held
-    prefix stays as it was.  So every coefficient returned has passed
-    the check once, and repeated queries at nearby orders share one
-    solve.  Returns the unique solution with zero constant term.
+    rule; each must be reproduced exactly, otherwise the equation was
+    mis-encoded, ``SolverError`` is raised and the held prefix stays as
+    it was.  So every coefficient returned has passed the check once.
+    Returns the unique solution with zero constant term.
     """
     if order < 1:
         raise DomainError("order must be at least 1")
@@ -395,20 +397,6 @@ def fixed_point_solve(family: FamilyId, order: int) -> PowerSeries:
     series = PowerSeries(s)
     _held_solves[desc.id] = _Solve(s, psi, s_plus_psi, g, series)
     return series
-
-
-# -- multiplier ----------------------------------------------------------------
-
-
-def multiplier_gf(family: FamilyId, order: int) -> PowerSeries:
-    """Transfer factor: census GF = root-statistic GF * multiplier.
-
-    For the leaf-counted families the multiplier is the derivative of
-    the counting series.
-    """
-    if order < 0:
-        raise DomainError("order must be nonnegative")
-    return PowerSeries(_series_integers(family, _series_bucket(order))[1][: order + 1])
 
 
 # -- root-statistic generating functions ----------------------------------------
@@ -463,27 +451,40 @@ def _psi_trees(geometric: bool, v: int, j: int) -> int:
 # -- census series ----------------------------------------------------------------
 
 
-# The levels multiplier / (1-x)**m asked for, by (family, bucket) and then
-# by m; ``clear_caches`` drops them.
-_held_sums: "dict[tuple[FamilyId, int], dict[int, tuple[int, ...]]]" = {}
+# Level m = multiplier / (1-x)**m and the last entries of levels 1..m, per
+# (family, m >= 1), through the highest order asked for, never mutated.
+_held_sums: "dict[FamilyId, dict[int, tuple[tuple[int, ...], tuple[int, ...]]]]" = {}
 
 
-def _multiplier_sums(family: FamilyId, m: int, bucket: int) -> "tuple[int, ...]":
-    """multiplier / (1-x)**m through x**bucket (m = 0: the multiplier).
+def _multiplier_sums(family: FamilyId, m: int, order: int) -> "tuple[tuple[int, ...], tuple[int, ...]]":
+    """multiplier / (1-x)**m through at least x**order (m = 0: the multiplier),
+    and the last entries of levels 1..m.
 
-    Level m is the running sums of level m - 1, so it is built from the
-    highest held level below m of the same family and bucket, or from
-    the multiplier, and held; only the levels asked for are held.
+    Level m is the running sums of level m - 1.  A held level is extended
+    by m running sums over the multiplier's new entries, each seeded with
+    the last held entry of its level; one not held is built from the
+    highest held level below m, or from the multiplier.
     """
-    levels = _held_sums.setdefault((family, bucket), {})
-    values = levels.get(m)
-    if values is None:
+    if not m:
+        return _series_integers(family, order)[1], ()
+    levels = _held_sums.setdefault(family, {})
+    held = levels.get(m)
+    if held is not None and len(held[0]) > order:
+        return held
+    if held is None:  # m - below sums over the highest held level below m, extended first
         below = max((j for j in levels if j < m), default=0)
-        values = levels[below] if below else _series_integers(family, bucket)[1]
-        for _ in range(m - below):
-            values = tuple(accumulate(values))
-        levels[m] = values
-    return values
+        values, lasts = _multiplier_sums(family, below, order)
+        head, seeds, lasts = (), [0] * (m - below), [*lasts]
+    else:  # m seeded sums over the multiplier's new entries
+        (head, seeds), lasts = held, []
+        values = _series_integers(family, order)[1][len(head) :]
+    for seed in seeds:
+        sums = accumulate(values, initial=seed)
+        next(sums)  # the seed itself
+        values = tuple(sums)
+        lasts.append(values[-1])
+    held = levels[m] = head + values, tuple(lasts)
+    return held
 
 
 def census_series(family: FamilyId, stat: StatKind, k: int, order: int) -> PowerSeries:
@@ -494,24 +495,26 @@ def census_series(family: FamilyId, stat: StatKind, k: int, order: int) -> Power
     if k > max_stat_value(family, stat, order):
         return PowerSeries.zero(order)
     root = root_stat_gf(family, stat, k)
-    summed = _multiplier_sums(family, root.exponent, _series_bucket(order))
+    summed = _multiplier_sums(family, root.exponent, order)[0]
     return PowerSeries(_product(root.numerator, summed, order + 1))
 
 
 def census_coefficient(family: FamilyId, stat: StatKind, k: int, n: int) -> int:
     """Single census coefficient: P_0..P_n against the matching window,
-    entries n - deg P..n reversed, of the held multiplier / (1-x)**m,
-    min(deg P, n) + 1 products and no O(n) copy; 0, with no root GF
-    built, when n < 1 or k exceeds ``max_stat_value``."""
+    entries n - deg P..n reversed, of the held multiplier / (1-x)**m, no
+    O(n) copy; t_k*m_(n-k) for the size unit (P = t_k*x**k, m = 0); 0,
+    with no root GF built, when n < 1 or k exceeds ``max_stat_value``."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     if k < 1:
         raise DomainError("statistic value k must be at least 1")
     if n < 1 or k > max_stat_value(family, stat, n):
         return 0
+    if stat == descriptor(family).size_unit:
+        return _series_integers(family, n)[1][n - k] * counting_coefficient(family, k)
     root = root_stat_gf(family, stat, k)
     numerator = root.numerator[: n + 1]
-    summed = _multiplier_sums(family, root.exponent, _series_bucket(n))
+    summed = _multiplier_sums(family, root.exponent, n)[0]
     return sum(map(_times, numerator, reversed(summed[n + 1 - len(numerator) : n + 1])))
 
 
@@ -528,7 +531,7 @@ def total_vertices(family: FamilyId, n: int) -> int:
     if n < 1:
         raise DomainError(f"no {FamilyId(family).value} trees of size {n}")
     desc = descriptor(family)
-    counts, mults = _series_integers(family, _series_bucket(n))
+    counts, mults, _ = _series_integers(family, n)
     if desc.size_unit is StatKind.VERTICES:
         return n * counts[n]
     total, remainder = divmod(mults[n] + (n + 1) * counts[n], 4) if desc.geometric_psi else divmod(mults[n], 2)
@@ -580,25 +583,22 @@ def max_stat_value(family: FamilyId, stat: StatKind, n: int) -> int:
 
 # Every memo in this module, bound at import so a rebinding of the public
 # names (a wrapper, a test double) cannot hide one.
-_CACHED = (
-    _spec,
-    _series_integers,
-    root_stat_gf,
-)
+_CACHED = (_spec, root_stat_gf)
 
 
 def clear_caches() -> None:
     """Drop every cached value, so the next call of each function runs cold.
 
-    Empties this module's caches, its held fixed-point solves and
-    multiplier sums and, if ``treecensus.oracle`` is already imported,
-    the oracle's census cache and its held enumeration; it never imports
-    the oracle.  Cached values are pure, so clearing changes no result,
-    only the time to the next one.
+    Empties this module's caches, its held solves, series and census
+    levels and, if ``treecensus.oracle`` is already imported, the
+    oracle's census cache and its held enumeration; it never imports the
+    oracle.  Values are pure, so clearing changes only the time to the
+    next one.
     """
     for cached in _CACHED:
         cached.cache_clear()
     _held_solves.clear()
+    _held_series.clear()
     _held_sums.clear()
     oracle = sys.modules.get(f"{__package__}.oracle")
     if oracle is not None:

@@ -487,8 +487,10 @@ def test_write_golden_then_check_the_same_path(tmp_path, capsys):
             "family,stat,n,k,count\nmotzkin,vertices,1,1,1\nmotzkin,vertices,20000,1,5\n",
             f"line 3: n 20000 is above the highest order a request may reach, {cli.MAX_ORDER}",
         ),
+        ("family,stat,n,k,count\nmotzkin,vertices,1,1,1\nmotzkin,vertices,-1,1,0\n", "line 3: n -1 is negative"),
+        ("family,stat,n,k,count\nmotzkin,vertices,1,0,0\n", "line 2: k 0 is below 1"),
     ],
-    ids=["empty", "header-only", "missing-column", "short-row", "long-row", "order-above-bound"],
+    ids=["empty", "header-only", "missing-column", "short-row", "long-row", "order-above-bound", "negative-n", "k-below-one"],
 )
 def test_unusable_golden_file_exit_code(text, message, capsys, tmp_path, monkeypatch):
     def compute_nothing(*args, **kwargs):

@@ -260,7 +260,7 @@ def test_phi_needs_an_order_from_one_to_the_truncation(family):
 
 def test_clear_caches_empties_every_cache():
     cached = [value for value in vars(families).values() if hasattr(value, "cache_clear")]
-    assert len(cached) == 3
+    assert len(cached) == 2
     for family in FamilyId:
         fixed_point_solve(family, 10)
         multiplier_gf(family, 10)
@@ -268,11 +268,13 @@ def test_clear_caches_empties_every_cache():
     aggregate_census(FamilyId.MOTZKIN, 5, StatKind.VERTICES)
     assert all(value.cache_info().currsize for value in cached)
     assert len(families._held_solves) == 4
-    assert len(families._held_sums) == 4
+    assert len(families._held_series) == 4
+    # only a vertex-counted family's leaf census has a level m >= 1, here m = 3
+    assert {f: sorted(levels) for f, levels in families._held_sums.items()} == {"motzkin": [3], "ordered": [3]}
     assert oracle._aggregate.cache_info().currsize and oracle._held is not None
     clear_caches()
-    assert [value.cache_info().currsize for value in cached] == [0] * 3
-    assert families._held_solves == {} and families._held_sums == {}
+    assert [value.cache_info().currsize for value in cached] == [0] * 2
+    assert families._held_solves == {} and families._held_series == {} and families._held_sums == {}
     assert oracle._aggregate.cache_info().currsize == 0 and oracle._held is None
     assert fixed_point_solve(FamilyId.SCHROEDER, 10) == counting_series(FamilyId.SCHROEDER, 10)
 
@@ -314,7 +316,7 @@ def test_census_coefficient_rejects_non_integral_multiplier(monkeypatch):
         return spec._replace(multiplier=(p, q, 2 * d, e))
 
     # census_coefficient reads the multiplier through the held sums, so
-    # every cache goes, not only _series_integers
+    # every holder goes, not only the held series
     _patched_spec(monkeypatch, halved)
     try:
         with pytest.raises(SolverError, match="multiplier"):
@@ -367,9 +369,16 @@ def test_a_psi_outside_the_quadratic_route_raises(family, psi, match, monkeypatc
 
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_derived_buckets_are_prefixes_of_each_other(family):
-    counts, mults = families._series_integers(family, 1280)
-    for order in (1, 2, 3, 64, 640):
-        assert families._series_integers(family, order) == (counts[: order + 1], mults[: order + 1])
+    # each longer request extends the held series; each is a prefix of one
+    # derived cold at the top order
+    clear_caches()
+    longest = families._series_integers(family, 1280)
+    clear_caches()
+    for order in (1, 2, 3, 64, 640, 1280):
+        held = families._series_integers(family, order)
+        assert [len(series) for series in held[:2]] == [order + 1] * 2
+        assert [series[: len(short)] for series, short in zip(longest, held)] == [*held]
+    assert families._series_integers(family, 640) is held  # a request below the held order reads it
 
 
 def test_counting_coefficient_rejects_negative_n():
@@ -708,7 +717,8 @@ def test_leaf_counted_multiplier_is_counting_derivative(family):
 
 
 def test_recurrence_initial_terms_cover_short_orders():
-    # the derivation itself at orders below the buckets, S shorter than Delta
+    # the derivation itself at short orders, S shorter than Delta, then extended
+    clear_caches()
     assert families._series_integers(FamilyId.SCHROEDER, 1)[0] == (0, 1)
     assert families._series_integers(FamilyId.SCHROEDER, 4)[0] == (0, 1, 1, 3, 11)
 
@@ -736,6 +746,16 @@ def test_census_coefficient_matches_convolution_reference(family, stat):
             assert census_coefficient(family, stat, k, n) == expected, (k, n)
 
 
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_size_unit_census_coefficient_is_one_product(family):
+    # P = t_k * x**k: t_k * m_(n-k), against the series' product with P
+    stat = FAMILIES[family].size_unit
+    for k in (1, 300, 600):
+        for n in (k, k + 1, 1300):
+            expected = census_series(family, stat, k, n).coefficient(n)
+            assert census_coefficient(family, stat, k, n) == expected, (k, n)
+
+
 def test_census_coefficient_after_a_thousand_running_sums():
     # root GF Cat(519) * x**1039 / (1-x)**1039
     family, stat, k, n = FamilyId.MOTZKIN, StatKind.LEAVES, 520, 1100
@@ -749,20 +769,66 @@ def test_multiplier_sums_build_on_the_nearest_held_level(family):
     # levels asked for out of order, each built from the highest held level
     # below it, against m running sums of the multiplier from scratch
     clear_caches()
-    for bucket in (64, 640):
-        levels = [families._series_integers(family, bucket)[1]]
+    for order in (64, 640):
+        levels = [families._series_integers(family, order)[1]]
         for _ in range(199):
             levels.append(tuple(accumulate(levels[-1])))
+        families._held_sums.clear()
         for m in (7, 3, 5, 1, 63, 199):
-            assert families._multiplier_sums(family, m, bucket) == levels[m], (bucket, m)
-        assert sorted(families._held_sums[family, bucket]) == [1, 3, 5, 7, 63, 199]
+            assert families._multiplier_sums(family, m, order)[0] == levels[m], (order, m)
+        assert sorted(families._held_sums[family]) == [1, 3, 5, 7, 63, 199]
         for m in (0, 1, 2, 7, 63):  # each level built from the multiplier alone
             families._held_sums.clear()
-            assert families._multiplier_sums(family, m, bucket) == levels[m], (bucket, m)
+            assert families._multiplier_sums(family, m, order)[0] == levels[m], (order, m)
         families._held_sums.clear()
         for m in (0, 1, 2, 7, 63):  # each level built from the one held below it
-            assert families._multiplier_sums(family, m, bucket) == levels[m], (bucket, m)
-        assert sorted(families._held_sums[family, bucket]) == [0, 1, 2, 7, 63]
+            assert families._multiplier_sums(family, m, order)[0] == levels[m], (order, m)
+        assert sorted(families._held_sums[family]) == [1, 2, 7, 63]  # level 0 is the multiplier
+    clear_caches()
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_held_levels_extend_in_place(family):
+    # levels asked for out of order at rising sizes, against m running sums
+    # of the multiplier from scratch; every held sequence stays a prefix
+    clear_caches()
+    levels = [multiplier_gf(family, 1300).coefficients]
+    for _ in range(199):
+        levels.append(tuple(accumulate(levels[-1])))
+    clear_caches()
+    before = None
+    # at 640, level 63 is built on level 7, which is extended first
+    for n, order in ((64, (7, 0, 199, 1)), (65, (1, 199, 0, 7)), (640, (199, 63, 1, 0)), (1300, (0, 63, 7, 1, 199))):
+        for m in order:
+            assert families._multiplier_sums(family, m, n)[0][: n + 1] == levels[m][: n + 1], (n, m)
+        held = families._held_series[family]
+        for m, (values, seeds) in families._held_sums[family].items():  # seeds: last entries of levels 1..m
+            assert len(values) == n + 1 and seeds == tuple(level[n] for level in levels[1 : m + 1]), (n, m)
+        if before is not None:
+            assert [series[: len(old)] for series, old in zip(held, before)] == [*before]
+        before = held
+    assert sorted(families._held_sums[family]) == [1, 7, 63, 199]
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_one_request_holds_nothing_past_its_order(family):
+    spec = families._spec(FAMILIES[family])
+    shift = max(spec.counting[3], spec.multiplier[3])
+    for n in (3, 65, 700):
+        for stat in StatKind:
+            for request in (
+                lambda: census_coefficient(family, stat, 2, n),
+                lambda: census_series(family, stat, 2, n),
+                lambda: finite_probability(family, stat, 1, n),
+                lambda: total_leaves(family, n),
+                lambda: counting_series(family, n),
+                lambda: multiplier_gf(family, n),
+            ):
+                clear_caches()
+                request()
+                counts, mults, s = families._held_series[family]
+                assert (len(counts), len(mults), len(s)) == (n + 1, n + 1, n + 1 + shift)
+                assert all(len(values) <= n + 1 for values, _ in families._held_sums.get(family, {}).values())
     clear_caches()
 
 
@@ -778,7 +844,8 @@ def test_total_vertices_rejects_an_inexact_division(family, monkeypatch):
     real_series = families._series_integers
 
     def ones(family, order):
-        return real_series(family, order)[0], (1,) * (order + 1)
+        counts, _, s = real_series(family, order)
+        return counts, (1,) * len(counts), s
 
     monkeypatch.setattr(families, "_series_integers", ones)
     with pytest.raises(SolverError, match="non-integer vertex total"):
@@ -790,8 +857,7 @@ def test_families_never_take_a_square_root(monkeypatch):
         raise AssertionError("PowerSeries.sqrt reached from families")
 
     monkeypatch.setattr(PowerSeries, "sqrt", refuse, raising=False)
-    families._series_integers.cache_clear()
-    families._held_sums.clear()
+    clear_caches()
     for family in FamilyId:
         counting_series(family, PIN_ORDER)
         multiplier_gf(family, PIN_ORDER)

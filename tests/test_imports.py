@@ -90,7 +90,7 @@ def test_cold_cli_derives_no_family_spec():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = (
         "import treecensus.cli as cli, treecensus.families as f; cli.build_parser(); "
-        "print(f._spec.cache_info().currsize, f._series_integers.cache_info().currsize)"
+        "print(f._spec.cache_info().currsize, len(f._held_series), len(f._held_sums))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["0", "0"]
+    assert done.stdout.split() == ["0", "0", "0"]
