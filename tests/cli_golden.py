@@ -2,7 +2,9 @@
 
 ``tests/data/cli_golden/`` holds one ``<name>.out`` file per case with
 the exact stdout of ``treecensus <argv>``; ``test_cli_golden.py``
-replays every case through ``cli.main`` and compares bytes.  Regenerate
+replays every case through ``cli.main`` and compares bytes.  The
+``help*`` cases pin ``--help`` of the top level and of each subcommand,
+wrapped at a fixed width (``HELP_COLUMNS``).  Regenerate
 the files only from a commit whose output is trusted:
 
     PYTHONPATH=src python3 tests/cli_golden.py
@@ -10,9 +12,14 @@ the files only from a commit whose output is trusted:
 
 import contextlib
 import io
+import os
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "cli_golden"
+# A stored census; only its row count reaches the output of a markdown verify.
+CENSUS_SMALL = Path(__file__).parent / "data" / "census_small.csv"
+# The terminal width ``--help`` wraps at while a case runs.
+HELP_COLUMNS = "80"
 
 _FAMILIES = ("motzkin", "ordered", "fullbinary", "schroeder")
 _PAIRS = [(family, stat) for family in _FAMILIES for stat in ("vertices", "leaves")]
@@ -55,8 +62,53 @@ CASES.update(
             "tightness", "--family", "schroeder", "--stat", "leaves", "--k-max", "20",
         ],
         "verify-small": ["verify", "--n-max", "5", "--format", "json"],
+        # every subcommand in every format it supports, --paper-precision and --header
+        "table-motzkin-leaves-markdown": ["table", "--family", "motzkin", "--stat", "leaves", "--k", "1..8"],
+        "table-schroeder-vertices-csv": [
+            "table", "--family", "schroeder", "--stat", "vertices", "--k", "1..8", "--format", "csv",
+        ],
+        "table-paper-precision-schroeder-leaves": [
+            "table", "--family", "schroeder", "--stat", "leaves", "--k", "1..8", "--paper-precision",
+        ],
+        "table-paper-precision-fullbinary-vertices-json": [
+            "table", "--family", "fullbinary", "--stat", "vertices", "--k", "1..8", "--paper-precision",
+            "--format", "json",
+        ],
+        "coeffs-census-ordered-leaves-markdown": [
+            "coeffs", "--family", "ordered", "--series", "census", "--stat", "leaves", "--k", "2", "--n", "0..12",
+        ],
+        "prob-limit-ordered-leaves-csv": [
+            "prob", "--family", "ordered", "--stat", "leaves", "--k", "1..6", "--precision", "25", "--format", "csv",
+        ],
+        "prob-n12-motzkin-vertices-csv": [
+            "prob", "--family", "motzkin", "--stat", "vertices", "--k", "1..13", "--n", "12", "--format", "csv",
+        ],
+        "prob-limit-fullbinary-leaves-json": [
+            "prob", "--family", "fullbinary", "--stat", "leaves", "--k", "1..4", "--format", "json",
+        ],
+        "verify-golden-markdown": [
+            "verify", "--n-max", "4", "--golden", str(CENSUS_SMALL),
+        ],
+        "verify-schroeder-csv": ["verify", "--family", "schroeder", "--n-max", "6", "--format", "csv"],
+        "errata-markdown": ["errata"],
+        "errata-csv": ["errata", "--format", "csv"],
+        "errata-json": ["errata", "--format", "json"],
+        "tightness-ordered-leaves-csv": [
+            "tightness", "--family", "ordered", "--stat", "leaves", "--k-max", "12", "--precision", "6",
+            "--format", "csv",
+        ],
+        "tightness-fullbinary-vertices-k0": [
+            "tightness", "--family", "fullbinary", "--stat", "vertices", "--k-max", "0",
+        ],
+        "header-prob-json": [
+            "prob", "--family", "motzkin", "--stat", "leaves", "--k", "2", "--header", "--format", "json",
+        ],
     }
 )
+# --help of the top level and of each subcommand, at a fixed terminal width
+CASES["help"] = ["--help"]
+for _command in ("table", "coeffs", "prob", "verify", "errata", "tightness"):
+    CASES[f"help-{_command}"] = [_command, "--help"]
 
 
 def run_case(argv: "list[str]") -> "tuple[int, str]":
@@ -64,8 +116,18 @@ def run_case(argv: "list[str]") -> "tuple[int, str]":
     from treecensus.cli import main
 
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = HELP_COLUMNS
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+    except SystemExit as done:  # --help prints and exits
+        code = done.code
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return code, out.getvalue()
 
 
