@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import namedtuple
 from itertools import accumulate
 
 from . import __version__
@@ -35,14 +36,15 @@ from .families import (
 )
 from .render import (
     DEFAULT_PRECISION,
+    Column,
+    Records,
     decimal_places,
     decimal_string,
     exact_json,
     fraction_string,
     matches_printed,
+    render,
     to_csv,
-    to_json,
-    to_markdown,
 )
 from .series import SeriesError
 
@@ -121,63 +123,58 @@ def _stat(value: str) -> StatKind:
     return _member(StatKind, value)
 
 
-def _emit(text: str, out_path: "str | None", header: bool) -> None:
-    if header:
+def _emit(args, records: Records) -> int:
+    text = render(args.format, records)
+    if args.header:
         text = f"# treecensus {__version__}\n" + text
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return EXIT_OK
 
 
-def _tabular(fmt: str, headers, rows, json_payload) -> str:
-    if fmt == "markdown":
-        return to_markdown(headers, rows)
-    if fmt == "csv":
-        return to_csv(headers, rows)
-    return to_json(json_payload)
+def _digits(args):
+    """The decimal form of an exact value at --precision."""
+    return lambda value: decimal_string(value, args.precision)
 
 
 # -- table ------------------------------------------------------------------------
+
+
+_TableRow = namedtuple("_TableRow", "k root_gf exact decimal published erratum")
+_TABLE_COLUMNS = (
+    Column("k"),
+    Column("root_gf", json=str),
+    Column("exact", json=exact_json),
+    Column("decimal"),
+    Column("published", json=lambda text: text or None),
+    Column("erratum", json=lambda text: text or None),
+)
 
 
 def _cmd_table(args) -> int:
     family, stat = args.family, args.stat
     ks = _parse_range(args.k)
     _check_order("--k", ks[-1])
-    headers = ["k", "root_gf", "exact", "decimal", "published", "erratum"]
     rows = []
-    json_rows = []
     for k in ks:
-        prob = limit_probability(family, stat, k)
-        gf_text = str(root_stat_gf(family, stat, k))
+        exact = limit_probability(family, stat, k).exact_value
         published = published_row(family, stat, k)
-        erratum = ""
         published_text = published.probability_text if published else ""
-        if published and not matches_printed(prob.exact_value, published.probability_text):
+        erratum = ""
+        if published and not matches_printed(exact, published_text):
             erratum = _ERRATUM_FOR_ROW.get((family, stat), "published-value-differs")
         if args.paper_precision and published_text:
-            shown = _published_rounded(prob, published_text)
+            shown = _published_rounded(exact, published_text)
         else:
-            shown = decimal_string(prob.exact_value, args.precision)
-        rows.append([str(k), gf_text, str(prob.exact_value), shown, published_text, erratum])
-        json_rows.append(
-            {
-                "k": k,
-                "root_gf": gf_text,
-                "exact": exact_json(prob.exact_value),
-                "decimal": shown,
-                "published": published_text or None,
-                "erratum": erratum or None,
-            }
-        )
-    payload = {"family": family.value, "stat": stat.value, "rows": json_rows}
-    _emit(_tabular(args.format, headers, rows, payload), args.out, args.header)
-    return EXIT_OK
+            shown = decimal_string(exact, args.precision)
+        rows.append(_TableRow(k, root_stat_gf(family, stat, k), exact, shown, published_text, erratum))
+    return _emit(args, Records(_TABLE_COLUMNS, rows, {"family": family.value, "stat": stat.value}))
 
 
-def _published_rounded(prob, published_text: str) -> str:
+def _published_rounded(exact, published_text: str) -> str:
     """Render at the printed number of decimal places for side-by-side diffs."""
     from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -185,16 +182,25 @@ def _published_rounded(prob, published_text: str) -> str:
 
     places = decimal_places(published_text)
     if places == 0:
-        return decimal_string(prob.exact_value, 1)
-    d = to_decimal(prob.exact_value)
+        return decimal_string(exact, 1)
+    d = to_decimal(exact)
     return format(d.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN), "f")
 
 
 # -- coeffs ------------------------------------------------------------------------
 
 
+_Coefficient = namedtuple("_Coefficient", "n coefficient")
+# n keys a JSON object, so its JSON form is text
+_COEFFS_COLUMNS = (Column("n", json=str), Column("coefficient", text=fraction_string, json=fraction_string))
+
+
 def _cmd_coeffs(args) -> int:
     family = args.family
+    if args.series != "census":
+        for flag, value in (("--stat", args.stat), ("--k", args.k)):
+            if value is not None:
+                raise DomainError(f"{flag} applies only to --series census, not {args.series}")
     ns = _parse_range(args.n)
     if ns[0] < 0:
         raise DomainError(f"--n must be nonnegative, got {ns[0]}")
@@ -211,18 +217,25 @@ def _cmd_coeffs(args) -> int:
             raise DomainError("census coefficients need --stat and --k")
         series = census_series(family, args.stat, args.k, max(order, 1))
         label = f"census[{args.stat.value}, k={args.k}]"
-    headers = ["n", "coefficient"]
-    rows = [[str(n), fraction_string(series.coefficient(n))] for n in ns]
-    payload = {
-        "family": family.value,
-        "series": label,
-        "coefficients": {str(n): fraction_string(series.coefficient(n)) for n in ns},
-    }
-    _emit(_tabular(args.format, headers, rows, payload), args.out, args.header)
-    return EXIT_OK
+    rows = [_Coefficient(n, series.coefficient(n)) for n in ns]
+    head = {"family": family.value, "series": label}
+    return _emit(args, Records(_COEFFS_COLUMNS, rows, head, rows_key="coefficients", keyed=True))
 
 
 # -- prob --------------------------------------------------------------------------
+
+
+# A finite row is named as a limit's record, so both share the value columns.
+_FiniteRow = namedtuple("_FiniteRow", "k n exact_value")
+
+
+def _diagnostics_json(diag) -> dict:
+    return {
+        "sizes": list(diag.sizes),
+        "probabilities": [fraction_string(p) for p in diag.probabilities],
+        "extrapolate": fraction_string(diag.extrapolate),
+        "gap": decimal_string(diag.gap, 3) if diag.gap else "0",
+    }
 
 
 def _cmd_prob(args) -> int:
@@ -234,49 +247,41 @@ def _cmd_prob(args) -> int:
         _check_order("--n", args.n)
         if args.check:
             raise DomainError("--check diagnoses a limit; it does not apply to a finite probability (--n)")
-    headers = ["k", "kind", "exact", "decimal"]
-    rows = []
-    json_rows = []
-    for k in ks:
-        if args.n is not None:
-            value = finite_probability(family, stat, k, args.n)
-            shown = decimal_string(value, args.precision)
-            rows.append([str(k), f"n={args.n}", fraction_string(value), shown])
-            json_rows.append({"k": k, "n": args.n, "exact": exact_json(value), "decimal": shown})
-            continue
-        prob = limit_probability(family, stat, k, check=args.check)
-        shown = decimal_string(prob.exact_value, args.precision)
-        rows.append([str(k), "limit", str(prob.exact_value), shown])
-        entry = {
-            "k": k,
-            "limit": True,
-            "exact": exact_json(prob.exact_value),
-            "decimal": shown,
-            "method": prob.method,
-        }
-        if prob.diagnostics is not None:
-            diag = prob.diagnostics
-            entry["diagnostics"] = {
-                "sizes": list(diag.sizes),
-                "probabilities": [fraction_string(p) for p in diag.probabilities],
-                "extrapolate": fraction_string(diag.extrapolate),
-                "gap": decimal_string(diag.gap, 3) if diag.gap else "0",
-            }
-        json_rows.append(entry)
-    payload = {"family": family.value, "stat": stat.value, "rows": json_rows}
-    _emit(_tabular(args.format, headers, rows, payload), args.out, args.header)
-    return EXIT_OK
+    shown = _digits(args)
+    values = (
+        Column("exact_value", json=exact_json, header="exact", key="exact"),
+        Column("exact_value", text=shown, json=shown, header="decimal", key="decimal"),
+    )
+    if args.n is not None:
+        columns = [Column("k"), Column("n", text="n={}".format, header="kind"), *values]
+        rows = [_FiniteRow(k, args.n, finite_probability(family, stat, k, args.n)) for k in ks]
+    else:  # the library's records
+        kind = Column("k", text=lambda _: "limit", json=lambda _: True, header="kind", key="limit")
+        columns = [Column("k"), kind, *values, Column("method", text=None)]
+        if args.check:
+            columns.append(Column("diagnostics", text=None, json=_diagnostics_json))
+        rows = [limit_probability(family, stat, k, check=args.check) for k in ks]
+    return _emit(args, Records(columns, rows, {"family": family.value, "stat": stat.value}))
 
 
 # -- verify ------------------------------------------------------------------------
+
+
+# The rows are the oracle's reports; markdown and csv show a pass as a status.
+_VERIFY_COLUMNS = (
+    Column("family", text=lambda family: family.value),
+    Column("n_max"),
+    Column("checks"),
+    Column("passed", text=None),
+    Column("mismatches", text=lambda found: str(len(found)), json=lambda found: [m._asdict() for m in found]),
+    Column("passed", text=lambda passed: "pass" if passed else "FAIL", json=None, header="status"),
+)
 
 
 def _cmd_verify(args) -> int:
     from .oracle import check_budget, verify_family
 
     families = [args.family] if args.family else list(FamilyId)
-    reports = []
-    all_passed = True
     if args.n_max is not None:
         for family in families:
             check_budget(family, args.n_max)
@@ -288,48 +293,25 @@ def _cmd_verify(args) -> int:
         golden_rows = _read_golden(args.golden)
     if args.write_golden:
         open(args.write_golden, "a", encoding="utf-8").close()
-    for family in families:
-        report = verify_family(family, args.n_max)
-        reports.append(report)
-        all_passed &= report.passed
-    golden_result = None
+    reports = [verify_family(family, args.n_max) for family in families]
+    all_passed = all(report.passed for report in reports)
     if args.write_golden:
         _write_golden(args.write_golden, families, args.n_max)
+    footer = []
+    golden = None
     if args.golden:
-        golden_result = _check_golden(args.golden, golden_rows or _read_golden(args.golden))
-        all_passed &= golden_result["passed"]
-
-    headers = ["family", "n_max", "checks", "mismatches", "status"]
-    rows = [
-        [r.family.value, str(r.n_max), str(r.checks), str(len(r.mismatches)), "pass" if r.passed else "FAIL"]
-        for r in reports
-    ]
-    payload = {
-        "families": [
-            {
-                "family": r.family.value,
-                "n_max": r.n_max,
-                "checks": r.checks,
-                "passed": r.passed,
-                "mismatches": [m._asdict() for m in r.mismatches],
-            }
-            for r in reports
-        ],
-        "golden": golden_result,
-        "passed": all_passed,
-    }
-    text = _tabular(args.format, headers, rows, payload)
-    if golden_result is not None and args.format != "json":
-        status = "pass" if golden_result["passed"] else "FAIL"
-        text += f"golden file: {status} ({golden_result['checked']} rows, {len(golden_result['mismatches'])} mismatches)\n"
-    if not all_passed and args.format != "json":
-        first = next((r.mismatches[0] for r in reports if r.mismatches), None)
-        if first is not None:
-            text += (
-                f"first mismatch: family={first.family.value} stat={first.stat and first.stat.value} "
-                f"n={first.n} k={first.k} {first.quantity}: oracle {first.expected} vs series {first.actual}\n"
-            )
-    _emit(text, args.out, args.header)
+        golden = _check_golden(args.golden, golden_rows or _read_golden(args.golden))
+        all_passed &= golden["passed"]
+        status = "pass" if golden["passed"] else "FAIL"
+        footer.append(f"golden file: {status} ({golden['checked']} rows, {len(golden['mismatches'])} mismatches)")
+    first = next((r.mismatches[0] for r in reports if r.mismatches), None)
+    if first is not None:
+        footer.append(
+            f"first mismatch: family={first.family.value} stat={first.stat and first.stat.value} "
+            f"n={first.n} k={first.k} {first.quantity}: oracle {first.expected} vs series {first.actual}"
+        )
+    tail = {"golden": golden, "passed": all_passed}
+    _emit(args, Records(_VERIFY_COLUMNS, reports, {}, rows_key="families", tail=tail, footer=footer))
     return EXIT_OK if all_passed else EXIT_MISMATCH
 
 
@@ -401,63 +383,37 @@ def _check_golden(path: str, rows: list) -> dict:
 # -- errata ------------------------------------------------------------------------
 
 
+# The rows are the ledger's records; csv leaves out the long fields.
+_ERRATA_COLUMNS = (
+    Column("ident", header="id"),
+    Column("location"),
+    Column("printed"),
+    Column("computed"),
+    Column("note", text=None),
+    Column("derivation", text=None),
+)
+
+
 def _cmd_errata(args) -> int:
-    headers = ["id", "location", "printed", "computed"]
-    rows = [[e.ident, e.location, e.printed, e.computed] for e in ERRATA]
-    payload = {"errata": [e._asdict() for e in ERRATA]}
-    if args.format == "markdown":
-        blocks = []
-        for e in ERRATA:
-            blocks.append(
-                f"### {e.ident}\n"
-                f"- location: {e.location}\n"
-                f"- printed: {e.printed}\n"
-                f"- computed: {e.computed}\n"
-                f"- note: {e.note}\n"
-                f"- derivation: {e.derivation}\n"
-            )
-        _emit("\n".join(blocks), args.out, args.header)
-        return EXIT_OK
-    _emit(_tabular(args.format, headers, rows, payload), args.out, args.header)
-    return EXIT_OK
+    return _emit(args, Records(_ERRATA_COLUMNS, ERRATA, {}, rows_key="errata", blocks=True))
 
 
 # -- tightness ----------------------------------------------------------------------
 
 
+_TermRow = namedtuple("_TermRow", "k term partial_sum")
+
+
 def _cmd_tightness(args) -> int:
     _check_order("--k-max", args.k_max)
     report = tightness_report(args.family, args.stat, args.k_max)
-    headers = ["k", "term", "partial_sum"]
-    rows = []
-    json_terms = []
-    for k, (term, partial) in enumerate(zip(report.terms, accumulate(report.terms)), start=1):
-        rows.append(
-            [str(k), decimal_string(term, args.precision), decimal_string(partial, args.precision)]
-        )
-        json_terms.append(
-            {
-                "k": k,
-                "term": exact_json(term),
-                "partial_sum": exact_json(partial),
-            }
-        )
-    payload = {
-        "family": args.family.value,
-        "stat": args.stat.value,
-        "k_max": report.k_max,
-        "terms": json_terms,
-        "partial_sum": exact_json(report.partial_sum),
-        "deficiency": exact_json(report.deficiency),
-    }
-    text = _tabular(args.format, headers, rows, payload)
-    if args.format != "json":
-        text += (
-            f"partial sum: {decimal_string(report.partial_sum, args.precision) if report.terms else '0'}"
-            f"  deficiency: {decimal_string(report.deficiency, args.precision)}\n"
-        )
-    _emit(text, args.out, args.header)
-    return EXIT_OK
+    shown = _digits(args)
+    columns = (Column("k"), Column("term", text=shown, json=exact_json), Column("partial_sum", text=shown, json=exact_json))
+    rows = [_TermRow(k, *pair) for k, pair in enumerate(zip(report.terms, accumulate(report.terms)), start=1)]
+    head = {"family": args.family.value, "stat": args.stat.value, "k_max": report.k_max}
+    tail = {"partial_sum": exact_json(report.partial_sum), "deficiency": exact_json(report.deficiency)}
+    footer = [f"partial sum: {shown(report.partial_sum)}  deficiency: {shown(report.deficiency)}"]
+    return _emit(args, Records(columns, rows, head, rows_key="terms", tail=tail, footer=footer))
 
 
 # -- parser ------------------------------------------------------------------------

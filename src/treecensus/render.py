@@ -1,9 +1,11 @@
 """Deterministic rendering of exact values, tables and reports.
 
 Decimals are produced from the exact values through the ``decimal``
-module with round-half-even, never recomputed along a second path, so
-csv, markdown and json renderings of one run always agree and repeated
-runs are byte-identical.
+module with round-half-even, never recomputed along a second path, and
+repeated runs are byte-identical.  A command's output is one record
+stream (``Records``): its markdown, csv and json renderings are all
+drawn from the same row records through one column spec per command,
+so the three agree by construction.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import Any, Sequence, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 from .quadratic import QuadraticNumber
 
@@ -120,3 +122,69 @@ def to_csv(headers: Sequence[str], rows: "Sequence[Sequence[str]]") -> str:
 
 def to_json(payload: Any) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+# -- record streams -----------------------------------------------------------
+
+
+def _as_is(value: Any) -> Any:
+    return value
+
+
+class Column(NamedTuple):
+    """One field of a command's row records, as a table cell and a JSON value.
+
+    ``text`` gives the markdown and csv cell under ``header``, ``json`` the
+    JSON value under ``key``.  Both names default to the field's, and a
+    form of None leaves the column out of that rendering.
+    """
+
+    field: str
+    text: "Callable[[Any], str] | None" = str
+    json: "Callable[[Any], Any] | None" = _as_is
+    header: "str | None" = None
+    key: "str | None" = None
+
+
+class Records(NamedTuple):
+    """One command's output: a header record, row records, footer records.
+
+    JSON is ``head``, the rows under ``rows_key``, then ``tail``; markdown
+    and csv are a table of the rows, then the ``footer`` lines.  ``keyed``
+    writes the JSON rows as one object, from each row's first value to its
+    second; ``blocks`` writes markdown as one block of JSON values per row.
+    """
+
+    columns: "Sequence[Column]"
+    rows: Sequence
+    head: "dict[str, Any]"
+    rows_key: str = "rows"
+    tail: "dict[str, Any] | None" = None
+    footer: "Sequence[str]" = ()
+    keyed: bool = False
+    blocks: bool = False
+
+
+def render(fmt: str, records: Records) -> str:
+    """Markdown, csv or JSON of one record stream."""
+    if fmt == "json":
+        entries = _json_rows(records)
+        if records.keyed:
+            entries = dict(tuple(entry.values()) for entry in entries)
+        return to_json({**records.head, records.rows_key: entries, **(records.tail or {})})
+    if fmt == "markdown" and records.blocks:
+        return "\n".join(_block(entry) for entry in _json_rows(records))
+    columns = [column for column in records.columns if column.text]
+    cells = [[c.text(getattr(row, c.field)) for c in columns] for row in records.rows]
+    table = (to_markdown if fmt == "markdown" else to_csv)([c.header or c.field for c in columns], cells)
+    return table + "".join(f"{line}\n" for line in records.footer)
+
+
+def _json_rows(records: Records) -> "list[dict[str, Any]]":
+    columns = [column for column in records.columns if column.json]
+    return [{c.key or c.field: c.json(getattr(row, c.field)) for c in columns} for row in records.rows]
+
+
+def _block(entry: "dict[str, Any]") -> str:
+    (_, title), *items = entry.items()
+    return f"### {title}\n" + "".join(f"- {key}: {value}\n" for key, value in items)

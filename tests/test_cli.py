@@ -413,6 +413,17 @@ def test_prob_check_with_n_exits_2(capsys, monkeypatch):
     _assert_one_line_error(code, capsys.readouterr(), "error: --check diagnoses a limit")
 
 
+@pytest.mark.parametrize("series", ["counting", "multiplier"])
+@pytest.mark.parametrize("flag, value", [("--stat", "leaves"), ("--k", "3")])
+def test_coeffs_refuses_census_flags_for_other_series(series, flag, value, capsys, monkeypatch):
+    # --stat and --k select a census; with another series they would be
+    # ignored, so the request is refused before any series is built
+    for name in ("counting_series", "multiplier_gf", "census_series"):
+        monkeypatch.setattr(cli, name, None)
+    code = main(["coeffs", "--family", "motzkin", "--series", series, flag, value, "--n", "3"])
+    _assert_one_line_error(code, capsys.readouterr(), f"error: {flag} applies only to --series census, not {series}")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
