@@ -234,7 +234,7 @@ def _diagnostics_json(diag) -> dict:
         "sizes": list(diag.sizes),
         "probabilities": [fraction_string(p) for p in diag.probabilities],
         "extrapolate": fraction_string(diag.extrapolate),
-        "gap": decimal_string(diag.gap, 3) if diag.gap else "0",
+        "gap": decimal_string(diag.gap, 3),
     }
 
 
