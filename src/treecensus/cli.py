@@ -37,13 +37,12 @@ from .families import (
 from .render import (
     DEFAULT_PRECISION,
     Column,
-    Records,
-    decimal_places,
     decimal_string,
     exact_json,
     fraction_string,
     matches_printed,
     render,
+    rounded_like,
     to_csv,
 )
 from .series import SeriesError
@@ -98,33 +97,9 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-# Members compare equal to their values (str enums), so plain value lists
-# serve as choices and print as {motzkin,...} in --help.
-_FAMILY_CHOICES = [family.value for family in FamilyId]
-_STAT_CHOICES = [stat.value for stat in StatKind]
-
-
-def _member(kind, value: str):
-    # argparse names the converter in its own message, so reject here
-    try:
-        return kind(value)
-    except ValueError:
-        choices = ",".join(member.value for member in kind)
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {value!r} (choose from {{{choices}}})"
-        ) from None
-
-
-def _family(value: str) -> FamilyId:
-    return _member(FamilyId, value)
-
-
-def _stat(value: str) -> StatKind:
-    return _member(StatKind, value)
-
-
-def _emit(args, records: Records) -> int:
-    text = render(args.format, records)
+def _emit(args, columns, rows, head, **shape) -> int:
+    """Write one record stream in --format; ``shape`` as in ``render``."""
+    text = render(args.format, columns, rows, head, **shape)
     if args.header:
         text = f"# treecensus {__version__}\n" + text
     if args.out:
@@ -167,24 +142,11 @@ def _cmd_table(args) -> int:
         if published and not matches_printed(exact, published_text):
             erratum = _ERRATUM_FOR_ROW.get((family, stat), "published-value-differs")
         if args.paper_precision and published_text:
-            shown = _published_rounded(exact, published_text)
+            shown = rounded_like(exact, published_text)
         else:
             shown = decimal_string(exact, args.precision)
         rows.append(_TableRow(k, root_stat_gf(family, stat, k), exact, shown, published_text, erratum))
-    return _emit(args, Records(_TABLE_COLUMNS, rows, {"family": family.value, "stat": stat.value}))
-
-
-def _published_rounded(exact, published_text: str) -> str:
-    """Render at the printed number of decimal places for side-by-side diffs."""
-    from decimal import ROUND_HALF_EVEN, Decimal
-
-    from .render import to_decimal
-
-    places = decimal_places(published_text)
-    if places == 0:
-        return decimal_string(exact, 1)
-    d = to_decimal(exact)
-    return format(d.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN), "f")
+    return _emit(args, _TABLE_COLUMNS, rows, {"family": family.value, "stat": stat.value})
 
 
 # -- coeffs ------------------------------------------------------------------------
@@ -197,29 +159,25 @@ _COEFFS_COLUMNS = (Column("n", json=str), Column("coefficient", text=fraction_st
 
 def _cmd_coeffs(args) -> int:
     family = args.family
-    if args.series != "census":
-        for flag, value in (("--stat", args.stat), ("--k", args.k)):
-            if value is not None:
-                raise DomainError(f"{flag} applies only to --series census, not {args.series}")
     ns = _parse_range(args.n)
     if ns[0] < 0:
         raise DomainError(f"--n must be nonnegative, got {ns[0]}")
     _check_order("--n", ns[-1])
-    order = max(ns)
-    if args.series == "counting":
-        series = counting_series(family, max(order, 1))
-        label = "counting"
-    elif args.series == "multiplier":
-        series = multiplier_gf(family, order)
-        label = "multiplier"
-    else:
+    order = max(ns[-1], 1)
+    if args.series == "census":
         if args.stat is None or args.k is None:
             raise DomainError("census coefficients need --stat and --k")
-        series = census_series(family, args.stat, args.k, max(order, 1))
+        series = census_series(family, args.stat, args.k, order)
         label = f"census[{args.stat.value}, k={args.k}]"
+    else:
+        for flag, value in (("--stat", args.stat), ("--k", args.k)):
+            if value is not None:
+                raise DomainError(f"{flag} applies only to --series census, not {args.series}")
+        series = (counting_series if args.series == "counting" else multiplier_gf)(family, order)
+        label = args.series
     rows = [_Coefficient(n, series.coefficient(n)) for n in ns]
     head = {"family": family.value, "series": label}
-    return _emit(args, Records(_COEFFS_COLUMNS, rows, head, rows_key="coefficients", keyed=True))
+    return _emit(args, _COEFFS_COLUMNS, rows, head, rows_key="coefficients", keyed=True)
 
 
 # -- prob --------------------------------------------------------------------------
@@ -261,7 +219,7 @@ def _cmd_prob(args) -> int:
         if args.check:
             columns.append(Column("diagnostics", text=None, json=_diagnostics_json))
         rows = [limit_probability(family, stat, k, check=args.check) for k in ks]
-    return _emit(args, Records(columns, rows, {"family": family.value, "stat": stat.value}))
+    return _emit(args, columns, rows, {"family": family.value, "stat": stat.value})
 
 
 # -- verify ------------------------------------------------------------------------
@@ -311,7 +269,7 @@ def _cmd_verify(args) -> int:
             f"n={first.n} k={first.k} {first.quantity}: oracle {first.expected} vs series {first.actual}"
         )
     tail = {"golden": golden, "passed": all_passed}
-    _emit(args, Records(_VERIFY_COLUMNS, reports, {}, rows_key="families", tail=tail, footer=footer))
+    _emit(args, _VERIFY_COLUMNS, reports, {}, rows_key="families", tail=tail, footer=footer)
     return EXIT_OK if all_passed else EXIT_MISMATCH
 
 
@@ -395,7 +353,7 @@ _ERRATA_COLUMNS = (
 
 
 def _cmd_errata(args) -> int:
-    return _emit(args, Records(_ERRATA_COLUMNS, ERRATA, {}, rows_key="errata", blocks=True))
+    return _emit(args, _ERRATA_COLUMNS, ERRATA, {}, rows_key="errata", blocks=True)
 
 
 # -- tightness ----------------------------------------------------------------------
@@ -413,7 +371,7 @@ def _cmd_tightness(args) -> int:
     head = {"family": args.family.value, "stat": args.stat.value, "k_max": report.k_max}
     tail = {"partial_sum": exact_json(report.partial_sum), "deficiency": exact_json(report.deficiency)}
     footer = [f"partial sum: {shown(report.partial_sum)}  deficiency: {shown(report.deficiency)}"]
-    return _emit(args, Records(columns, rows, head, rows_key="terms", tail=tail, footer=footer))
+    return _emit(args, columns, rows, head, rows_key="terms", tail=tail, footer=footer)
 
 
 # -- parser ------------------------------------------------------------------------
@@ -428,7 +386,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"treecensus {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, precision=True):
+    def add_member(p, flag, kind, **options):
+        # Members compare equal to their values (str enums), so plain value
+        # lists serve as choices and print as {motzkin,...} in --help.
+        choices = [member.value for member in kind]
+
+        def member(value: str):
+            # argparse names the converter in its own message, so reject here
+            try:
+                return kind(value)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {value!r} (choose from {{{','.join(choices)}}})"
+                ) from None
+
+        p.add_argument(flag, type=member, choices=choices, **options)
+
+    def finish(p, func, precision=True):
+        """Add the output options every subcommand ends with, and its handler."""
         p.add_argument("--format", choices=("markdown", "csv", "json"), default="markdown")
         p.add_argument("--out", metavar="PATH", default=None, help="write output to a file")
         p.add_argument("--header", action="store_true", help="prepend a version header line")
@@ -437,10 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
                 "--precision", type=int, default=DEFAULT_PRECISION, metavar="DIGITS",
                 help=f"significant digits (at most {MAX_PRECISION})",
             )
+        p.set_defaults(func=func)
 
     p_table = sub.add_parser("table", help="limit-probability table for one family/statistic")
-    p_table.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
-    p_table.add_argument("--stat", type=_stat, required=True, choices=_STAT_CHOICES)
+    add_member(p_table, "--family", FamilyId, required=True)
+    add_member(p_table, "--stat", StatKind, required=True)
     p_table.add_argument(
         "--k", required=True, help=f"k value or range, e.g. 1..7 (at most {MAX_RANGE_VALUES} values); k <= {MAX_ORDER}"
     )
@@ -449,49 +425,43 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="round decimals to each published row's printed precision",
     )
-    add_common(p_table)
-    p_table.set_defaults(func=_cmd_table)
+    finish(p_table, _cmd_table)
 
     p_coeffs = sub.add_parser("coeffs", help="exact series coefficients")
-    p_coeffs.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
+    add_member(p_coeffs, "--family", FamilyId, required=True)
     p_coeffs.add_argument("--series", choices=("counting", "multiplier", "census"), required=True)
-    p_coeffs.add_argument("--stat", type=_stat, default=None, choices=_STAT_CHOICES)
+    add_member(p_coeffs, "--stat", StatKind, default=None)
     p_coeffs.add_argument("--k", type=int, default=None)
     p_coeffs.add_argument(
         "--n", required=True, help=f"index or range, e.g. 0..10 (at most {MAX_RANGE_VALUES} values); n <= {MAX_ORDER}"
     )
-    add_common(p_coeffs, precision=False)
-    p_coeffs.set_defaults(func=_cmd_coeffs)
+    finish(p_coeffs, _cmd_coeffs, precision=False)
 
     p_prob = sub.add_parser("prob", help="finite-size or limiting probabilities")
-    p_prob.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
-    p_prob.add_argument("--stat", type=_stat, required=True, choices=_STAT_CHOICES)
+    add_member(p_prob, "--family", FamilyId, required=True)
+    add_member(p_prob, "--stat", StatKind, required=True)
     p_prob.add_argument(
         "--k", required=True, help=f"k value or range (at most {MAX_RANGE_VALUES} values); k <= {MAX_ORDER} for a limit"
     )
     p_prob.add_argument("--n", type=int, default=None, help=f"tree size for a finite probability (n <= {MAX_ORDER})")
     p_prob.add_argument("--check", action="store_true", help="attach convergence diagnostics (json)")
-    add_common(p_prob)
-    p_prob.set_defaults(func=_cmd_prob)
+    finish(p_prob, _cmd_prob)
 
     p_verify = sub.add_parser("verify", help="cross-check series against exhaustive enumeration")
-    p_verify.add_argument("--family", type=_family, default=None, choices=_FAMILY_CHOICES)
+    add_member(p_verify, "--family", FamilyId, default=None)
     p_verify.add_argument("--n-max", type=int, default=None, dest="n_max")
     p_verify.add_argument("--golden", metavar="PATH", default=None, help="compare against a stored census csv")
     p_verify.add_argument("--write-golden", metavar="PATH", default=None, help="write the census csv")
-    add_common(p_verify, precision=False)
-    p_verify.set_defaults(func=_cmd_verify)
+    finish(p_verify, _cmd_verify, precision=False)
 
     p_errata = sub.add_parser("errata", help="documented discrepancies with the published tables")
-    add_common(p_errata, precision=False)
-    p_errata.set_defaults(func=_cmd_errata)
+    finish(p_errata, _cmd_errata, precision=False)
 
     p_tight = sub.add_parser("tightness", help="partial sums of limit probabilities")
-    p_tight.add_argument("--family", type=_family, required=True, choices=_FAMILY_CHOICES)
-    p_tight.add_argument("--stat", type=_stat, required=True, choices=_STAT_CHOICES)
+    add_member(p_tight, "--family", FamilyId, required=True)
+    add_member(p_tight, "--stat", StatKind, required=True)
     p_tight.add_argument("--k-max", type=int, required=True, dest="k_max", help=f"largest k summed; k_max <= {MAX_ORDER}")
-    add_common(p_tight)
-    p_tight.set_defaults(func=_cmd_tightness)
+    finish(p_tight, _cmd_tightness)
 
     return parser
 
@@ -504,8 +474,7 @@ def main(argv: "list[str] | None" = None) -> int:
             raise DomainError(f"--precision {args.precision} is outside 1..{MAX_PRECISION}")
         return args.func(args)
     except (
-        DomainError,
-        ValueError,
+        ValueError,  # DomainError among them
         SeriesError,
         SolverError,
         OSError,  # an unusable --out, --golden or --write-golden path

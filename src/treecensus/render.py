@@ -3,9 +3,9 @@
 Decimals are produced from the exact values through the ``decimal``
 module with round-half-even, never recomputed along a second path, and
 repeated runs are byte-identical.  A command's output is one record
-stream (``Records``): its markdown, csv and json renderings are all
-drawn from the same row records through one column spec per command,
-so the three agree by construction.
+stream, and ``render`` draws its markdown, csv and json renderings from
+the same row records through one column spec per command, so the three
+agree by construction.
 """
 
 from __future__ import annotations
@@ -98,6 +98,16 @@ def matches_printed(value: ExactValue, printed: str) -> bool:
     return abs(value - QuadraticNumber(target, 0, value.radicand)) <= QuadraticNumber(ulp)
 
 
+def rounded_like(value: ExactValue, printed: str) -> str:
+    """Round-half-even rendering at a printed decimal's number of places,
+    for side-by-side diffs; a printed integer gets one significant digit."""
+    places = decimal_places(printed)
+    if places == 0:
+        return decimal_string(value, 1)
+    d = to_decimal(value)
+    return format(d.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN), "f")
+
+
 # -- table shells -------------------------------------------------------------
 
 
@@ -146,43 +156,41 @@ class Column(NamedTuple):
     key: "str | None" = None
 
 
-class Records(NamedTuple):
-    """One command's output: a header record, row records, footer records.
+def render(
+    fmt: str,
+    columns: "Sequence[Column]",
+    rows: Sequence,
+    head: "dict[str, Any]",
+    rows_key: str = "rows",
+    tail: "dict[str, Any] | None" = None,
+    footer: "Sequence[str]" = (),
+    keyed: bool = False,
+    blocks: bool = False,
+) -> str:
+    """Markdown, csv or JSON of one command's output: a header record, row
+    records and footer records.
 
     JSON is ``head``, the rows under ``rows_key``, then ``tail``; markdown
     and csv are a table of the rows, then the ``footer`` lines.  ``keyed``
     writes the JSON rows as one object, from each row's first value to its
     second; ``blocks`` writes markdown as one block of JSON values per row.
     """
-
-    columns: "Sequence[Column]"
-    rows: Sequence
-    head: "dict[str, Any]"
-    rows_key: str = "rows"
-    tail: "dict[str, Any] | None" = None
-    footer: "Sequence[str]" = ()
-    keyed: bool = False
-    blocks: bool = False
-
-
-def render(fmt: str, records: Records) -> str:
-    """Markdown, csv or JSON of one record stream."""
     if fmt == "json":
-        entries = _json_rows(records)
-        if records.keyed:
+        entries = _json_rows(columns, rows)
+        if keyed:
             entries = dict(tuple(entry.values()) for entry in entries)
-        return to_json({**records.head, records.rows_key: entries, **(records.tail or {})})
-    if fmt == "markdown" and records.blocks:
-        return "\n".join(_block(entry) for entry in _json_rows(records))
-    columns = [column for column in records.columns if column.text]
-    cells = [[c.text(getattr(row, c.field)) for c in columns] for row in records.rows]
-    table = (to_markdown if fmt == "markdown" else to_csv)([c.header or c.field for c in columns], cells)
-    return table + "".join(f"{line}\n" for line in records.footer)
+        return to_json({**head, rows_key: entries, **(tail or {})})
+    if fmt == "markdown" and blocks:
+        return "\n".join(_block(entry) for entry in _json_rows(columns, rows))
+    shown = [column for column in columns if column.text]
+    cells = [[c.text(getattr(row, c.field)) for c in shown] for row in rows]
+    table = (to_markdown if fmt == "markdown" else to_csv)([c.header or c.field for c in shown], cells)
+    return table + "".join(f"{line}\n" for line in footer)
 
 
-def _json_rows(records: Records) -> "list[dict[str, Any]]":
-    columns = [column for column in records.columns if column.json]
-    return [{c.key or c.field: c.json(getattr(row, c.field)) for c in columns} for row in records.rows]
+def _json_rows(columns: "Sequence[Column]", rows: Sequence) -> "list[dict[str, Any]]":
+    columns = [column for column in columns if column.json]
+    return [{c.key or c.field: c.json(getattr(row, c.field)) for c in columns} for row in rows]
 
 
 def _block(entry: "dict[str, Any]") -> str:
