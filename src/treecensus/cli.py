@@ -97,6 +97,20 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _check_writable(flag: str, path: str) -> None:
+    """Refuse an output path that cannot be written, before any work and creating nothing."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"no such directory {folder}"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise DomainError(f"{flag} {path}: {problem}")
+
+
 def _emit(args, columns, rows, head, **shape) -> int:
     """Write one record stream in --format; ``shape`` as in ``render``."""
     text = render(args.format, columns, rows, head, **shape)
@@ -243,14 +257,12 @@ def _cmd_verify(args) -> int:
     if args.n_max is not None:
         for family in families:
             check_budget(family, args.n_max)
-    # Refuse an unusable path or golden file before the enumeration, which
-    # takes seconds.  The csv is written before it is read, so the same path
-    # may be both.
+    # Refuse an unusable golden file before the enumeration, which takes
+    # seconds.  The csv is written before it is read, so the same path may be
+    # both.
     golden_rows = None
     if args.golden and not (args.write_golden and os.path.abspath(args.golden) == os.path.abspath(args.write_golden)):
         golden_rows = _read_golden(args.golden)
-    if args.write_golden:
-        open(args.write_golden, "a", encoding="utf-8").close()
     reports = [verify_family(family, args.n_max) for family in families]
     all_passed = all(report.passed for report in reports)
     if args.write_golden:
@@ -472,6 +484,9 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         if not 1 <= getattr(args, "precision", DEFAULT_PRECISION) <= MAX_PRECISION:
             raise DomainError(f"--precision {args.precision} is outside 1..{MAX_PRECISION}")
+        for flag, path in (("--out", args.out), ("--write-golden", getattr(args, "write_golden", None))):
+            if path:
+                _check_writable(flag, path)
         return args.func(args)
     except (
         ValueError,  # DomainError among them

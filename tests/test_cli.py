@@ -445,13 +445,35 @@ def test_coeffs_negative_n_exit_code(argv, capsys):
         ("verify", "--family", "motzkin", "--n-max", "3", "--write-golden", "{missing}/g.csv"),
         ("verify", "--family", "motzkin", "--n-max", "3", "--golden", "{tmp}"),
         ("verify", "--family", "motzkin", "--n-max", "3", "--golden", "{missing}/g.csv"),
+        ("coeffs", "--family", "motzkin", "--series", "counting", "--n", "0..5", "--out", "{missing}/x.csv"),
+        ("prob", "--family", "motzkin", "--stat", "leaves", "--k", "3", "--out", "{missing}/x.md"),
+        ("verify", "--out", "{missing}/x.json"),
+        ("errata", "--out", "{missing}/x.md"),
+        ("tightness", "--family", "ordered", "--stat", "leaves", "--k-max", "200", "--out", "{missing}/x.md"),
     ],
-    ids=["out-missing-dir", "out-directory", "write-golden-missing-dir", "golden-directory", "golden-missing"],
+    ids=[
+        "out-missing-dir", "out-directory", "write-golden-missing-dir", "golden-directory", "golden-missing",
+        "coeffs-out-missing-dir", "prob-out-missing-dir", "verify-out-missing-dir", "errata-out-missing-dir",
+        "tightness-out-missing-dir",
+    ],
 )
-def test_unusable_path_exit_code(argv, capsys, tmp_path):
+def test_unusable_path_exit_code(argv, monkeypatch, capsys, tmp_path):
+    def compute_nothing(*args, **kwargs):
+        raise AssertionError("computed before refusing the path")
+
+    # an output path is refused in main, before any subcommand computes or renders
+    computations = (
+        "limit_probability", "root_stat_gf", "counting_series", "multiplier_gf", "census_series",
+        "finite_probability", "tightness_report", "render",
+    )
+    for name in computations:
+        monkeypatch.setattr(cli, name, compute_nothing)
+    monkeypatch.setattr(oracle, "verify_family", compute_nothing)
     paths = {"missing": tmp_path / "missing", "tmp": tmp_path}
     code = main([arg.format(**paths) for arg in argv])
-    _assert_one_line_error(code, capsys.readouterr())
+    flag = next((flag for flag in ("--out", "--write-golden") if flag in argv), None)
+    _assert_one_line_error(code, capsys.readouterr(), f"error: {flag} " if flag else "error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
